@@ -84,7 +84,7 @@ func BenchmarkAccessCounterWithIntegrity(b *testing.B) {
 // Same geometry as BenchmarkAccessCounterEncrypted, so the numbers read
 // as pure storage overhead: every ReadInto rewrites its path, so the
 // mmap'd tree file sees Z(L+1) record writes per op and the WAL variant
-// additionally appends one log frame per op. scripts/check_bench_pr10.sh
+// additionally appends one log frame per op. scripts/gate.sh file
 // holds the overhead to relative bounds against the in-memory baseline.
 
 func BenchmarkFileBackendAccess(b *testing.B) {
@@ -182,7 +182,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // whose labels all fit in the lookaside cache, so after warmup every
 // access resolves its leaf in the PLB and touches only the data ORAM.
 // The hit path shares the pooled-buffer discipline of the flat hot path,
-// so steady state must stay allocation-free (scripts/check_alloc_gate.sh
+// so steady state must stay allocation-free (scripts/gate.sh alloc
 // holds this bench to the same budget as the other Access benches).
 func BenchmarkAccessRecursivePLBHit(b *testing.B) {
 	h, err := NewHierarchy(HierarchyConfig{
@@ -280,9 +280,9 @@ func BenchmarkDRAMPathReadSubtreeVsNaive(b *testing.B) {
 
 // newBenchSharded builds and pre-fills a sharded ORAM over the whole
 // logical address space so the benchmarks measure steady state.
-func newBenchSharded(b *testing.B, cfg ShardedConfig) *Sharded {
+func newBenchSharded(b *testing.B, cfg Spec) *Sharded {
 	b.Helper()
-	s, err := NewSharded(cfg)
+	s, err := openSharded(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,9 +314,9 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			var seed atomic.Int64
@@ -385,9 +385,9 @@ func BenchmarkShardedThroughputEncrypted(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptCounter},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptCounter,
 			})
 			defer s.Close()
 			var seed atomic.Int64
@@ -420,14 +420,12 @@ func BenchmarkShardedDRAM(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, BlockSize: blockSize,
-					Encryption:   EncryptNone,
-					Backend:      BackendDRAM,
-					DRAMChannels: 2,
-				},
+				Blocks: blocks, BlockSize: blockSize,
+				Encryption:   EncryptNone,
+				Backend:      BackendDRAM,
+				DRAMChannels: 2,
 			})
 			defer s.Close()
 			pre, _ := s.TimingStats()
@@ -461,22 +459,20 @@ func BenchmarkShardedDRAM(b *testing.B) {
 // benchmarkSched drives a 2-shard timed instance under concurrent
 // single-op reads and reports the modeled columns the PR 9 gate compares:
 // cycles/op, row-hit rate, and ops per modeled second. Both scheduling
-// policies run the identical load; check_bench_pr9.sh requires the
+// policies run the identical load; scripts/gate.sh sched requires the
 // FR-FCFS variant to win on all three. The queued hot path is also in
 // the allocation gate — the event queue's rings, skip-mask pool, and
 // batch scratch must reach steady state without per-op allocation.
 func benchmarkSched(b *testing.B, sched MemSched) {
 	const blocks = 1 << 12
 	const blockSize = 64
-	s := newBenchSharded(b, ShardedConfig{
+	s := newBenchSharded(b, Spec{
 		Shards: 2,
-		Config: Config{
-			Blocks: blocks, BlockSize: blockSize,
-			Encryption:   EncryptNone,
-			Backend:      BackendDRAM,
-			DRAMChannels: 2,
-			DRAMSched:    sched,
-		},
+		Blocks: blocks, BlockSize: blockSize,
+		Encryption:   EncryptNone,
+		Backend:      BackendDRAM,
+		DRAMChannels: 2,
+		DRAMSched:    sched,
 	})
 	defer s.Close()
 	pre, _ := s.TimingStats()
@@ -519,9 +515,9 @@ func BenchmarkShardedBatch(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(300))
@@ -560,11 +556,11 @@ func BenchmarkShardedLatency(b *testing.B) {
 	for _, mode := range []string{"sync", "async"} {
 		for _, shards := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("mode=%s/shards=%d", mode, shards), func(b *testing.B) {
-				s := newBenchSharded(b, ShardedConfig{
+				s := newBenchSharded(b, Spec{
 					Shards: shards,
-					Config: Config{Blocks: blocks, BlockSize: blockSize,
-						Encryption:    EncryptCounter,
-						AsyncEviction: mode == "async"},
+					Blocks: blocks, BlockSize: blockSize,
+					Encryption:    EncryptCounter,
+					AsyncEviction: mode == "async",
 				})
 				defer s.Close()
 				rng := rand.New(rand.NewSource(600))
@@ -606,10 +602,12 @@ func BenchmarkShardedBatchRandom(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
-				Shards:    shards,
-				Partition: PartitionRandom,
-				Config:    Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+			s := newBenchSharded(b, Spec{
+				Shards:     shards,
+				Partition:  PartitionRandom,
+				Blocks:     blocks,
+				BlockSize:  blockSize,
+				Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(400))
@@ -642,11 +640,13 @@ func BenchmarkShardedBatchPadded(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
-				Shards:    shards,
-				Partition: PartitionRandom,
-				Padded:    true,
-				Config:    Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+			s := newBenchSharded(b, Spec{
+				Shards:     shards,
+				Partition:  PartitionRandom,
+				Padded:     true,
+				Blocks:     blocks,
+				BlockSize:  blockSize,
+				Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(500))

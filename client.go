@@ -88,12 +88,20 @@ var (
 	_ Client = (*Sharded)(nil)
 )
 
+// checkAddr rejects an address outside the logical space [0, blocks).
+func checkAddr(addr, blocks uint64) error {
+	if addr >= blocks {
+		return fmt.Errorf("pathoram: address %d out of range [0,%d)", addr, blocks)
+	}
+	return nil
+}
+
 // validateAddrs is the shared up-front batch validation: an out-of-range
 // address fails the whole batch before any path is touched.
 func validateAddrs(addrs []uint64, blocks uint64) error {
 	for _, a := range addrs {
-		if a >= blocks {
-			return fmt.Errorf("pathoram: address %d out of range [0,%d)", a, blocks)
+		if err := checkAddr(a, blocks); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -198,13 +206,24 @@ type Spec struct {
 	// Partition selects the address split across shards (default
 	// PartitionStripe; PartitionRandom hides request routing).
 	Partition Partition
-	// Padded switches batches to the fixed-shape padded schedule (see
-	// ShardedConfig.Padded).
+	// Padded switches ReadBatch/WriteBatch to the padded batch mode:
+	// every batch touches every shard an equal number of times — the
+	// larger of ceil(batchSize/Shards) and the busiest shard's real
+	// demand — with scheduler-issued dummy accesses (real random-path
+	// accesses) filling the empty slots, so an observer of the shard
+	// schedule cannot tell which slots carried real requests. Under
+	// PartitionRandom the whole shape is additionally independent of the
+	// requested addresses; under the fixed partitions its height still
+	// tracks the busiest shard (see DESIGN.md's decision table). Padding
+	// overhead is counted in Stats.PaddingAccesses. Single operations are
+	// never padded.
 	Padded bool
 	// QueueDepth is the per-shard request queue length (default 128).
 	QueueDepth int
-	// EvictionsPerIdle caps idle background evictions per gap (see
-	// ShardedConfig.EvictionsPerIdle; meaningful with AsyncEviction).
+	// EvictionsPerIdle caps how many background-eviction dummy accesses a
+	// shard worker issues per idle gap under AsyncEviction (default 4;
+	// negative disables idle eviction, leaving only write-back
+	// completion).
 	EvictionsPerIdle int
 
 	// PosMap selects the position-map policy (default PosMapOnChip).
@@ -294,15 +313,17 @@ type Spec struct {
 	DRAMQueueDepth int
 	DRAMStarveCap  int
 
-	// Rand makes the whole construction deterministic (simulation only);
-	// independent per-shard, router and padding streams are derived from
-	// it exactly as in NewSharded.
+	// Rand makes the whole construction deterministic (simulation only):
+	// independent per-shard generators are seeded from it in shard order,
+	// then the router's and the padding drawer's, so no generator is ever
+	// shared between worker goroutines.
 	Rand *rand.Rand
 	// OnPathAccess, when set, observes every path every tree touches —
 	// the adversary's full view: shard is the serving shard, level the
 	// ORAM within its chain (0 = data ORAM; always 0 for PosMapOnChip).
-	// Called from the shard worker goroutines; distinct shards invoke it
-	// concurrently.
+	// Called from the shard worker goroutines, so distinct shards invoke
+	// it concurrently; per-shard accumulators indexed by shard need no
+	// locking.
 	OnPathAccess func(shard, level int, leaf uint64)
 }
 
@@ -372,145 +393,14 @@ func (s Spec) LeakageClass() LeakageClass {
 
 // Open builds the serving layer described by spec and returns it as a
 // Client: N shards (flat trees or recursive hierarchies per PosMap)
-// behind the batched request scheduler, on an untimed or shared-timed
-// storage backend. Open is the one constructor that composes every axis;
-// the bare constructors (New, NewHierarchy, NewSharded) remain supported
-// for direct, single-construction use.
+// behind the batched request scheduler, on an untimed, shared-timed or
+// persistent storage backend. Open is the one constructor of the serving
+// layer; the bare constructors New and NewHierarchy remain supported for
+// direct, single-threaded use of one tree or one chain.
 func Open(spec Spec) (Client, error) {
-	cfg := ShardedConfig{
-		Shards:           spec.Shards,
-		Partition:        spec.Partition,
-		Padded:           spec.Padded,
-		QueueDepth:       spec.QueueDepth,
-		EvictionsPerIdle: spec.EvictionsPerIdle,
-		Config: Config{
-			Blocks:                spec.Blocks,
-			BlockSize:             spec.BlockSize,
-			Z:                     spec.Z,
-			Utilization:           spec.Utilization,
-			StashCapacity:         spec.StashCapacity,
-			ConstantTimeStash:     spec.ConstantTimeStash,
-			SuperBlockSize:        spec.SuperBlockSize,
-			Encryption:            spec.Encryption,
-			Integrity:             spec.Integrity,
-			Key:                   spec.Key,
-			AsyncEviction:         spec.AsyncEviction,
-			MaxDeferredWriteBacks: spec.MaxDeferredWriteBacks,
-			Backend:               spec.Backend,
-			DRAMChannels:          spec.DRAMChannels,
-			DRAMLayout:            spec.DRAMLayout,
-			DRAMSerialize:         spec.DRAMSerialize,
-			DRAMSched:             spec.DRAMSched,
-			DRAMQueueDepth:        spec.DRAMQueueDepth,
-			DRAMStarveCap:         spec.DRAMStarveCap,
-			Dir:                   spec.Dir,
-			WAL:                   spec.WAL,
-			WALDepth:              spec.WALDepth,
-			Rand:                  spec.Rand,
-		},
+	s, err := openSharded(spec)
+	if err != nil {
+		return nil, err
 	}
-	// Reject knobs that would be silently inert on the selected axis
-	// values, so a design-space sweep never varies a field that changes
-	// nothing (non-default DRAM knobs need the timed backend; recursion
-	// knobs need the recursive position map).
-	if spec.Backend != BackendDRAM &&
-		(spec.DRAMChannels != 0 || spec.DRAMLayout != LayoutSubtree || spec.DRAMSerialize) {
-		return nil, fmt.Errorf("pathoram: DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend; set Backend: BackendDRAM")
-	}
-	if spec.Backend != BackendDRAM && spec.DRAMSched != MemSchedInOrder {
-		return nil, fmt.Errorf("pathoram: DRAMSched parameterizes the timed backend; set Backend: BackendDRAM")
-	}
-	if spec.DRAMSched != MemSchedFRFCFS && (spec.DRAMQueueDepth != 0 || spec.DRAMStarveCap != 0) {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS")
-	}
-	if spec.Backend != BackendFile && (spec.Dir != "" || spec.WAL || spec.WALDepth != 0) {
-		return nil, fmt.Errorf("pathoram: Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile")
-	}
-	if spec.Backend == BackendFile && spec.Dir == "" {
-		return nil, fmt.Errorf("pathoram: BackendFile needs Dir (where the tree files live)")
-	}
-	if !spec.WAL && spec.WALDepth != 0 {
-		return nil, fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
-	}
-	switch spec.PosMap {
-	case PosMapOnChip:
-		if spec.PosBlockSize != 0 || spec.OnChipPosMapMax != 0 || spec.PosZ != 0 {
-			return nil, fmt.Errorf("pathoram: PosBlockSize/OnChipPosMapMax/PosZ parameterize the recursive position map; set PosMap: PosMapRecursive")
-		}
-		if spec.PLBBytes != 0 || spec.PLBConstantShape || spec.Overlap != 0 {
-			return nil, fmt.Errorf("pathoram: PLBBytes/PLBConstantShape/Overlap accelerate the recursive position-map chain; set PosMap: PosMapRecursive")
-		}
-		if spec.OnPathAccess != nil {
-			hook := spec.OnPathAccess
-			cfg.OnShardPathAccess = func(sh int, leaf uint64) { hook(sh, 0, leaf) }
-		}
-		return NewSharded(cfg)
-	case PosMapRecursive:
-		// The chain accelerations have their own mode requirements;
-		// surface them here with Spec vocabulary rather than letting every
-		// shard's constructor fail identically.
-		if spec.PLBConstantShape && spec.PLBBytes == 0 {
-			return nil, fmt.Errorf("pathoram: PLBConstantShape pads PLB hits; set PLBBytes > 0")
-		}
-		if spec.Overlap < 0 {
-			return nil, fmt.Errorf("pathoram: Overlap must be >= 0")
-		}
-		if spec.Overlap > 0 {
-			if spec.Backend != BackendDRAM {
-				return nil, fmt.Errorf("pathoram: Overlap schedules modeled memory time; set Backend: BackendDRAM")
-			}
-			if spec.DRAMSerialize {
-				return nil, fmt.Errorf("pathoram: Overlap and DRAMSerialize are contradictory schedules; drop one")
-			}
-		}
-		// Position-map levels always carry payloads, so encryption
-		// material is in play even for a metadata-only data ORAM.
-		needKeys := spec.Encryption != EncryptNone
-		return newSharded(cfg, needKeys, func(i int, sc Config) (clientEngine, error) {
-			hc := HierarchyConfig{
-				Blocks:                sc.Blocks,
-				BlockSize:             sc.BlockSize,
-				DataZ:                 sc.Z,
-				PosZ:                  spec.PosZ,
-				PosBlockSize:          spec.PosBlockSize,
-				OnChipPosMapMax:       spec.OnChipPosMapMax,
-				Utilization:           sc.Utilization,
-				SuperBlockSize:        sc.SuperBlockSize,
-				StashCapacity:         sc.StashCapacity,
-				ConstantTimeStash:     sc.ConstantTimeStash,
-				Encryption:            sc.Encryption,
-				Key:                   sc.Key,
-				Integrity:             sc.Integrity,
-				AsyncEviction:         sc.AsyncEviction,
-				MaxDeferredWriteBacks: sc.MaxDeferredWriteBacks,
-				Backend:               sc.Backend,
-				DRAMChannels:          sc.DRAMChannels,
-				DRAMLayout:            sc.DRAMLayout,
-				DRAMSerialize:         sc.DRAMSerialize,
-				DRAMSched:             sc.DRAMSched,
-				DRAMQueueDepth:        sc.DRAMQueueDepth,
-				DRAMStarveCap:         sc.DRAMStarveCap,
-				PLBBytes:              spec.PLBBytes,
-				PLBConstantShape:      spec.PLBConstantShape,
-				Overlap:               spec.Overlap,
-				Dir:                   sc.Dir,
-				WAL:                   sc.WAL,
-				WALDepth:              sc.WALDepth,
-				Rand:                  sc.Rand,
-				bus:                   sc.bus,
-				storeName:             sc.storeName,
-			}
-			if spec.OnPathAccess != nil {
-				hook, sh := spec.OnPathAccess, i
-				hc.OnPathAccess = func(level int, leaf uint64) { hook(sh, level, leaf) }
-			}
-			h, err := NewHierarchy(hc)
-			if err != nil {
-				return nil, err
-			}
-			return hierarchyEngine{h}, nil
-		})
-	default:
-		return nil, fmt.Errorf("pathoram: unknown position-map policy %d", spec.PosMap)
-	}
+	return s, nil
 }

@@ -191,10 +191,10 @@ func TestClientShardedRecursiveEquivalence(t *testing.T) {
 		t.Fatalf("recursive spec built a chain of depth %d, want >= 2", got)
 	}
 
-	flat, err := NewSharded(ShardedConfig{
+	flat, err := openSharded(Spec{
 		Shards: shards,
-		Config: Config{Blocks: blocks, BlockSize: blockSize,
-			Encryption: EncryptNone, Rand: rand.New(rand.NewSource(43))},
+		Blocks: blocks, BlockSize: blockSize,
+		Encryption: EncryptNone, Rand: rand.New(rand.NewSource(43)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -579,41 +579,96 @@ func TestClientShardedLoadStore(t *testing.T) {
 	})
 }
 
-// TestClientOpenValidation pins Open's config hygiene: recursion knobs on
-// a flat spec are rejected (a sweep must never vary an inert field), and
-// unknown policies fail.
+// TestClientOpenValidation pins Open's accept/reject set, one row per
+// rule. Open checks only the rules that exist only in Spec; every
+// per-tree rule reaches it through the shard constructors' shared
+// validation, so the rows naming a per-tree knob also run through New
+// and/or NewHierarchy, wherever that knob exists, and must agree.
 func TestClientOpenValidation(t *testing.T) {
-	if _, err := Open(Spec{Blocks: 64, BlockSize: 8, PosBlockSize: 16}); err == nil {
-		t.Error("flat spec with PosBlockSize accepted")
+	dir := t.TempDir()
+	rec := func(s Spec) Spec { s.PosMap = PosMapRecursive; return s }
+	cases := []struct {
+		name string
+		spec Spec
+		ok   bool
+		flat *Config          // the same row through New
+		hier *HierarchyConfig // the same row through NewHierarchy
+	}{
+		// Rules of Spec's composition axes.
+		{name: "flat with PosBlockSize", spec: Spec{Blocks: 64, BlockSize: 8, PosBlockSize: 16}},
+		{name: "flat with OnChipPosMapMax", spec: Spec{Blocks: 64, BlockSize: 8, OnChipPosMapMax: 64}},
+		{name: "unknown posmap policy", spec: Spec{Blocks: 64, BlockSize: 8, PosMap: PosMapPolicy(99)}},
+		{name: "untimed with DRAMChannels", spec: Spec{Blocks: 64, BlockSize: 8, DRAMChannels: 4}},
+		{name: "untimed with DRAMSerialize", spec: Spec{Blocks: 64, BlockSize: 8, DRAMSerialize: true}},
+		{name: "untimed with DRAMSched", spec: Spec{Blocks: 64, BlockSize: 8, DRAMSched: MemSchedFRFCFS}},
+		// The shard-count, partition and master-key rules are pinned by
+		// TestShardedConfigValidation.
+		// Per-tree rules, enforced once in the shared tree validation.
+		{name: "zero blocks", spec: Spec{BlockSize: 8},
+			flat: &Config{BlockSize: 8}, hier: &HierarchyConfig{BlockSize: 8}},
+		{name: "integrity without encryption", spec: Spec{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true},
+			flat: &Config{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true}},
+		{name: "WALDepth without WAL", spec: Spec{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WALDepth: 4},
+			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WALDepth: 4},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WALDepth: 4}},
+		{name: "Dir without BackendFile", spec: Spec{Blocks: 64, BlockSize: 8, Dir: dir},
+			flat: &Config{Blocks: 64, BlockSize: 8, Dir: dir},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Dir: dir}},
+		{name: "BackendFile without Dir", spec: Spec{Blocks: 64, BlockSize: 8, Backend: BackendFile},
+			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendFile},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendFile}},
+		{name: "DRAMQueueDepth without FR-FCFS", spec: Spec{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4},
+			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4}},
+		// Chain rules, enforced once in the hierarchy builder (or below it).
+		{name: "PLBConstantShape without PLBBytes", spec: rec(Spec{Blocks: 64, BlockSize: 8, PLBConstantShape: true}),
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, PLBConstantShape: true}},
+		{name: "Overlap without BackendDRAM", spec: rec(Spec{Blocks: 64, BlockSize: 8, Overlap: 2}),
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Overlap: 2}},
+		{name: "Overlap with DRAMSerialize", spec: rec(Spec{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMSerialize: true, Overlap: 2}),
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMSerialize: true, Overlap: 2}},
+		// The defaults build.
+		{name: "defaults", ok: true, spec: Spec{Blocks: 64, BlockSize: 8},
+			flat: &Config{Blocks: 64, BlockSize: 8}, hier: &HierarchyConfig{Blocks: 64, BlockSize: 8}},
 	}
-	if _, err := Open(Spec{Blocks: 64, BlockSize: 8, OnChipPosMapMax: 64}); err == nil {
-		t.Error("flat spec with OnChipPosMapMax accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(ctor string, c Client, err error) {
+				t.Helper()
+				if tc.ok != (err == nil) {
+					t.Errorf("%s: err = %v, want accepted=%v", ctor, err, tc.ok)
+				}
+				if err == nil {
+					c.Close()
+				}
+			}
+			c, err := Open(tc.spec)
+			check("Open", c, err)
+			if tc.flat != nil {
+				o, err := New(*tc.flat)
+				check("New", o, err)
+			}
+			if tc.hier != nil {
+				h, err := NewHierarchy(*tc.hier)
+				check("NewHierarchy", h, err)
+			}
+		})
 	}
-	if _, err := Open(Spec{Blocks: 64, BlockSize: 8, PosMap: PosMapPolicy(99)}); err == nil {
-		t.Error("unknown posmap policy accepted")
-	}
-	if _, err := Open(Spec{Blocks: 64, BlockSize: 8, DRAMChannels: 4}); err == nil {
-		t.Error("untimed spec with DRAMChannels accepted")
-	}
-	if _, err := Open(Spec{Blocks: 64, BlockSize: 8, DRAMSerialize: true}); err == nil {
-		t.Error("untimed spec with DRAMSerialize accepted")
-	}
-	if _, err := Open(Spec{BlockSize: 8}); err == nil {
-		t.Error("zero Blocks accepted")
-	}
+
 	// The composed construction reports its shape.
-	c, err := Open(Spec{Blocks: 256, BlockSize: 8, Shards: 2,
+	rc, err := Open(Spec{Blocks: 256, BlockSize: 8, Shards: 2,
 		PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64,
 		Encryption: EncryptNone, Rand: rand.New(rand.NewSource(8))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	s := c.(*Sharded)
-	if s.NumORAMs() < 2 {
-		t.Errorf("recursive chain depth %d", s.NumORAMs())
+	defer rc.Close()
+	rs := rc.(*Sharded)
+	if rs.NumORAMs() < 2 {
+		t.Errorf("recursive chain depth %d", rs.NumORAMs())
 	}
-	if b := s.OnChipPositionMapBytes(); b == 0 || b > 2*64 {
+	if b := rs.OnChipPositionMapBytes(); b == 0 || b > 2*64 {
 		t.Errorf("on-chip posmap bytes %d, want in (0, %d]", b, 2*64)
 	}
 	flatC, err := Open(Spec{Blocks: 256, BlockSize: 8, Shards: 2,

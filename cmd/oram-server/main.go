@@ -31,6 +31,16 @@ import (
 	"repro/internal/service"
 )
 
+// The edge bounds slow and idle clients: a request's headers must arrive
+// within readHeaderTimeout, and a keep-alive connection idle for
+// idleTimeout is closed. Bodies get no ReadTimeout — the NDJSON batch
+// endpoint streams for as long as its client keeps sending; single-op
+// bodies are bounded in size by the service instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oram-server: ")
@@ -72,7 +82,12 @@ func main() {
 		log.Printf("tenant %q ready", name)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("listening on %s (%d blocks x %dB, %d shards/tenant, storage=%s, wal=%v, async=%v)",

@@ -27,15 +27,13 @@ func TestPooledCTEquivalenceReplay(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", partName, mode)
 			t.Run(name, func(t *testing.T) {
 				build := func(ct bool) *Sharded {
-					s, err := NewSharded(ShardedConfig{
+					s, err := openSharded(Spec{
 						Shards: 4, Partition: part,
-						Config: Config{
-							Blocks: blocks, BlockSize: blockSize,
-							Encryption:        EncryptCounter,
-							ConstantTimeStash: ct,
-							AsyncEviction:     async,
-							Rand:              testRand(91),
-						},
+						Blocks: blocks, BlockSize: blockSize,
+						Encryption:        EncryptCounter,
+						ConstantTimeStash: ct,
+						AsyncEviction:     async,
+						Rand:              testRand(91),
 					})
 					if err != nil {
 						t.Fatal(err)

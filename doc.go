@@ -18,11 +18,11 @@
 //     Section 5 (tamper and replay detection with no initialization pass);
 //   - the hierarchical construction of Section 2.3, which stores the
 //     position map in recursively smaller ORAMs (see NewHierarchy);
-//   - a sharded, concurrency-safe serving layer (NewSharded): the address
+//   - a sharded, concurrency-safe serving layer (Open): the address
 //     space partitioned over N independent Path ORAM shards behind a
 //     batched request scheduler, with optional oblivious request routing
 //     (PartitionRandom) and padded, fixed-shape batch schedules
-//     (ShardedConfig.Padded);
+//     (Spec.Padded);
 //   - a staged access path (Config.AsyncEviction): respond after path
 //     read and stash merge, defer write-back I/O and background eviction
 //     to idle queue time — Section 3.1.1's background eviction and the

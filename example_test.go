@@ -69,19 +69,18 @@ func ExampleORAM_Load() {
 // A sharded ORAM partitions the address space over independent Path ORAM
 // shards, each behind its own worker goroutine — all methods are safe for
 // concurrent use, and batches fan out across shards in parallel.
-func ExampleNewSharded() {
-	store, err := pathoram.NewSharded(pathoram.ShardedConfig{
-		Shards: 4,
-		Config: pathoram.Config{
-			Blocks:    4096,
-			BlockSize: 64,
-			Rand:      rand.New(rand.NewSource(4)), // deterministic for the example only
-		},
+func ExampleSharded() {
+	c, err := pathoram.Open(pathoram.Spec{
+		Shards:    4,
+		Blocks:    4096,
+		BlockSize: 64,
+		Rand:      rand.New(rand.NewSource(4)), // deterministic for the example only
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer store.Close()
+	defer c.Close()
+	store := c.(*pathoram.Sharded) // Open always returns the serving layer
 
 	// Distinct residues mod 4, so the batch lands one write on each shard.
 	addrs := []uint64{3, 1000, 2049, 4094}

@@ -21,16 +21,17 @@ func main() {
 	// full Path ORAM (counter-encrypted here) with its own derived key,
 	// its own tree and stash, and its own worker goroutine; the scheduler
 	// in front makes the whole thing safe for any number of callers.
-	store, err := pathoram.NewSharded(pathoram.ShardedConfig{
-		Shards: 4,
-		Config: pathoram.Config{
-			Blocks:    16384,
-			BlockSize: 64,
-		},
+	c, err := pathoram.Open(pathoram.Spec{
+		Shards:    4,
+		Blocks:    16384,
+		BlockSize: 64,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Open always returns the sharded serving layer; the concrete type
+	// adds the shard-level views (NumShards, SchedulerStats, ShardStats).
+	store := c.(*pathoram.Sharded)
 	fmt.Printf("sharded ORAM: %d shards over %d blocks, %.1f MB external memory\n",
 		store.NumShards(), store.Blocks(),
 		float64(store.ExternalMemoryBytes())/(1<<20))
@@ -114,18 +115,17 @@ func main() {
 	// batch touch every shard equally often (dummy-filled). SECURITY.md
 	// has the full argument; the cost shows up as pad/real overhead and
 	// a two-leg (fetch + relocate) access path.
-	hidden, err := pathoram.NewSharded(pathoram.ShardedConfig{
+	hc, err := pathoram.Open(pathoram.Spec{
 		Shards:    4,
 		Partition: pathoram.PartitionRandom,
 		Padded:    true,
-		Config: pathoram.Config{
-			Blocks:    4096,
-			BlockSize: 64,
-		},
+		Blocks:    4096,
+		BlockSize: 64,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	hidden := hc.(*pathoram.Sharded)
 	defer hidden.Close()
 	hAddrs := make([]uint64, 64)
 	hData := make([][]byte, 64)

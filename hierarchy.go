@@ -1,16 +1,13 @@
 package pathoram
 
 import (
-	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/encrypt"
 	"repro/internal/hierarchy"
 	"repro/internal/membus"
 	"repro/internal/storage"
-	"repro/internal/treemath"
 )
 
 // HierarchyConfig describes a hierarchical Path ORAM (Section 2.3): the
@@ -127,13 +124,6 @@ type HierarchyConfig struct {
 	// full view of one hierarchy's traffic. It runs synchronously on the
 	// accessing goroutine.
 	OnPathAccess func(level int, leaf uint64)
-	// bus, when set, attaches every level to an existing shared memory
-	// scheduler instead of creating one — Open injects the bus it built so
-	// all shards (and all their levels) contend for the same channels.
-	bus *membus.Bus
-	// storeName is the per-chain file-name prefix under BackendFile
-	// ("oram" standalone; NewSharded injects a per-shard prefix).
-	storeName string
 }
 
 // Hierarchy is a hierarchical Path ORAM. Like ORAM it is single-threaded —
@@ -141,8 +131,8 @@ type HierarchyConfig struct {
 // can run one Hierarchy per shard behind its request scheduler (see Open
 // with PosMap: PosMapRecursive).
 type Hierarchy struct {
-	inner *hierarchy.ORAM
-	cfg   HierarchyConfig
+	inner  *hierarchy.ORAM
+	blocks uint64
 	// ports holds one membus port per level under BackendDRAM (attach
 	// order: smallest position-map ORAM first, data ORAM last — the
 	// construction order of the chain).
@@ -248,228 +238,125 @@ func (t *levelTimer) WritePath(leaf uint64, deferred bool) {
 // across the chain exactly as in Section 3.1.1. Under BackendDRAM every
 // level also gets its own port on the (shared or private) memory bus.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if cfg.Blocks == 0 {
-		return nil, fmt.Errorf("pathoram: Blocks must be >= 1")
+	return newHierarchy(Config{
+		Blocks: cfg.Blocks, BlockSize: cfg.BlockSize, Z: cfg.DataZ,
+		Utilization: cfg.Utilization, SuperBlockSize: cfg.SuperBlockSize,
+		StashCapacity: cfg.StashCapacity, ConstantTimeStash: cfg.ConstantTimeStash,
+		Encryption: cfg.Encryption, Key: cfg.Key, Integrity: cfg.Integrity,
+		AsyncEviction: cfg.AsyncEviction, MaxDeferredWriteBacks: cfg.MaxDeferredWriteBacks,
+		Backend: cfg.Backend, DRAMChannels: cfg.DRAMChannels, DRAMLayout: cfg.DRAMLayout,
+		DRAMSerialize: cfg.DRAMSerialize, DRAMSched: cfg.DRAMSched,
+		DRAMQueueDepth: cfg.DRAMQueueDepth, DRAMStarveCap: cfg.DRAMStarveCap,
+		Dir: cfg.Dir, WAL: cfg.WAL, WALDepth: cfg.WALDepth, Rand: cfg.Rand,
+	}, chainConfig{
+		posZ: cfg.PosZ, posBlockSize: cfg.PosBlockSize, onChipPosMapMax: cfg.OnChipPosMapMax,
+		plbBytes: cfg.PLBBytes, plbConstantShape: cfg.PLBConstantShape, overlap: cfg.Overlap,
+		onPathAccess: cfg.OnPathAccess,
+	})
+}
+
+// chainConfig is the recursion half of a hierarchy's construction — the
+// HierarchyConfig knobs a flat tree lacks. The tree half is a Config: the
+// data ORAM's geometry and everything every level shares.
+type chainConfig struct {
+	posZ, posBlockSize        int
+	onChipPosMapMax, plbBytes uint64
+	plbConstantShape          bool
+	overlap                   int
+	onPathAccess              func(level int, leaf uint64)
+}
+
+// newHierarchy builds a chain from its tree template c and recursion knobs
+// ch; NewHierarchy and Open's recursive shards both come through here.
+func newHierarchy(c Config, ch chainConfig) (*Hierarchy, error) {
+	if err := c.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.DataZ == 0 {
-		cfg.DataZ = 3
+	if ch.posZ == 0 {
+		ch.posZ = 3
 	}
-	if cfg.PosZ == 0 {
-		cfg.PosZ = 3
+	if ch.posBlockSize == 0 {
+		ch.posBlockSize = 32
 	}
-	if cfg.PosBlockSize == 0 {
-		cfg.PosBlockSize = 32
-	}
-	if cfg.StashCapacity == 0 {
-		cfg.StashCapacity = 200
-	}
-	if cfg.Integrity && cfg.Encryption == EncryptNone {
-		return nil, fmt.Errorf("pathoram: integrity verification requires encryption")
-	}
-	switch cfg.Backend {
-	case BackendMem, BackendDRAM:
-		if cfg.Dir != "" || cfg.WAL || cfg.WALDepth != 0 {
-			return nil, fmt.Errorf("pathoram: Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile")
-		}
-	case BackendFile:
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("pathoram: BackendFile needs Dir (where the tree files live)")
-		}
-		if cfg.BlockSize == 0 {
-			return nil, fmt.Errorf("pathoram: BackendFile persists payloads; metadata-only mode (BlockSize 0) has nothing to persist")
-		}
-		if !cfg.WAL && cfg.WALDepth != 0 {
-			return nil, fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
-		}
-	default:
-		return nil, fmt.Errorf("pathoram: unknown backend %d", cfg.Backend)
-	}
-	if cfg.storeName == "" {
-		cfg.storeName = "oram"
-	}
-	switch cfg.DRAMLayout {
-	case LayoutSubtree, LayoutNaive:
-	default:
-		return nil, fmt.Errorf("pathoram: unknown DRAM layout %d", cfg.DRAMLayout)
-	}
-	switch cfg.DRAMSched {
-	case MemSchedInOrder, MemSchedFRFCFS:
-	default:
-		return nil, fmt.Errorf("pathoram: unknown memory scheduler %d", cfg.DRAMSched)
-	}
-	if cfg.DRAMQueueDepth < 0 || cfg.DRAMStarveCap < 0 {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap must be >= 0")
-	}
-	if cfg.DRAMSched != MemSchedFRFCFS && (cfg.DRAMQueueDepth != 0 || cfg.DRAMStarveCap != 0) {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS")
-	}
-	if cfg.Overlap < 0 {
+	if ch.overlap < 0 {
 		return nil, fmt.Errorf("pathoram: Overlap must be >= 0")
 	}
-	if cfg.Overlap > 0 {
-		if cfg.Backend != BackendDRAM {
+	if ch.overlap > 0 {
+		if c.Backend != BackendDRAM {
 			return nil, fmt.Errorf("pathoram: Overlap schedules modeled memory time; set Backend: BackendDRAM")
 		}
-		if cfg.DRAMSerialize {
+		if c.DRAMSerialize {
 			return nil, fmt.Errorf("pathoram: Overlap and DRAMSerialize are contradictory schedules; drop one")
 		}
 	}
-	if cfg.PLBConstantShape && cfg.PLBBytes == 0 {
-		return nil, fmt.Errorf("pathoram: PLBConstantShape pads PLB hits; set PLBBytes > 0")
+	// Under BackendDRAM every level gets its own port on one bus: the
+	// injected shared one (sharded deployments) or a private one.
+	if err := c.ensureBus(); err != nil {
+		return nil, err
 	}
-	if cfg.Key == nil {
-		cfg.Key = make([]byte, encrypt.KeySize)
-		if _, err := crand.Read(cfg.Key); err != nil {
-			return nil, fmt.Errorf("pathoram: drawing key: %w", err)
-		}
-	} else {
-		cfg.Key = append([]byte(nil), cfg.Key...)
-	}
-	var leaves core.LeafSource
-	if cfg.Rand != nil {
-		leaves = core.NewMathLeafSource(cfg.Rand)
-	} else {
-		leaves = core.NewCryptoLeafSource()
-	}
-
-	h := &Hierarchy{cfg: cfg}
-
-	// openLevelPersist builds one level's durable storage stack under
-	// BackendFile: Dir/<prefix>-l<level>.tree (+ .wal), tracked on the
-	// hierarchy for Flush-time sync and Close-time release.
-	openLevelPersist := func(level int, numBuckets uint64, stride int) (storage.Storage, error) {
-		pc := Config{
-			Dir: cfg.Dir, WAL: cfg.WAL, WALDepth: cfg.WALDepth,
-			storeName: fmt.Sprintf("%s-l%d", cfg.storeName, level),
-		}
-		p, err := pc.openPersist(numBuckets, stride)
-		if err != nil {
-			return nil, err
-		}
-		h.persists = append(h.persists, p)
-		return p, nil
-	}
-
-	// makeStore builds one level's bucket store and reports the byte
-	// footprint a bucket occupies on the modeled memory bus.
-	makeStore := func(level int, leafLevel, z, blockBytes int) (core.PathStore, int, error) {
-		if cfg.Encryption == EncryptNone || blockBytes == 0 {
-			// Metadata-only data ORAMs have nothing to encrypt; plain
-			// stores still move their headers over the modeled bus.
-			if cfg.Backend == BackendFile {
-				persist, err := openLevelPersist(level, treemath.New(leafLevel).NumBuckets(), storage.PlainRecordBytes(z, blockBytes))
-				if err != nil {
-					return nil, 0, err
-				}
-				ps, err := storage.NewPathStore(persist, leafLevel, z, blockBytes)
-				if err != nil {
-					return nil, 0, err
-				}
-				h.footprints = append(h.footprints, ps)
-				return ps, modeledBucketBytes(nil, z, blockBytes), nil
-			}
-			ms, err := core.NewMemStore(leafLevel, z, blockBytes)
-			return ms, modeledBucketBytes(nil, z, blockBytes), err
-		}
-		key, err := deriveKey(cfg.Key, level)
-		if err != nil {
-			return nil, 0, err
-		}
-		sub := Config{Encryption: cfg.Encryption, Key: key, Rand: cfg.Rand}
-		scheme, err := sub.buildScheme(treemath.New(leafLevel).NumBuckets())
-		if err != nil {
-			return nil, 0, err
-		}
-		scfg := encrypt.StoreConfig{
-			LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme,
-		}
-		if cfg.Integrity {
-			scfg.Auth = encrypt.NewAuthTree(leafLevel, z, blockBytes, scheme)
-		}
-		if cfg.Backend == BackendFile {
-			persist, err := openLevelPersist(level, treemath.New(leafLevel).NumBuckets(), encrypt.PaddedBucketBytes(scheme, z, blockBytes))
-			if err != nil {
-				return nil, 0, err
-			}
-			scfg.Backing = persist
-		}
-		es, err := encrypt.NewStore(scfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		h.footprints = append(h.footprints, es)
-		return es, modeledBucketBytes(scheme, z, blockBytes), nil
-	}
-
-	// Under BackendDRAM, wrap every level's store in a timed layer with
-	// its own port on one shared bus: an injected one (sharded
-	// deployments) or a private one (standalone hierarchy).
-	bus := cfg.bus
-	if cfg.Backend == BackendDRAM && bus == nil {
-		var err error
-		schedCfg := Config{
-			DRAMSched:      cfg.DRAMSched,
-			DRAMQueueDepth: cfg.DRAMQueueDepth,
-			DRAMStarveCap:  cfg.DRAMStarveCap,
-		}
-		if bus, err = membus.New(membus.Config{
-			Channels:  cfg.DRAMChannels,
-			Layout:    cfg.DRAMLayout.membusLayout(),
-			Serialize: cfg.DRAMSerialize,
-			Sched:     schedCfg.dramSchedConfig(),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sched := &chainSched{overlap: cfg.Overlap > 0}
+	h := &Hierarchy{blocks: c.Blocks}
+	sched := &chainSched{overlap: ch.overlap > 0}
 	if sched.overlap {
-		sched.ring = make([]uint64, cfg.Overlap)
+		sched.ring = make([]uint64, ch.overlap)
 	}
 	factory := func(level int, leafLevel, z, blockBytes int) (core.PathStore, error) {
-		store, busBytes, err := makeStore(level, leafLevel, z, blockBytes)
+		lc := c
+		lc.LeafLevel, lc.Z, lc.BlockSize = leafLevel, z, blockBytes
+		lc.storeName = fmt.Sprintf("%s-l%d", c.storeName, level)
+		if !lc.plain() {
+			key, err := deriveKey(c.Key, level)
+			if err != nil {
+				return nil, err
+			}
+			lc.Key = key
+		}
+		t, err := lc.openStack(func(port *membus.Port) core.PathTimer {
+			if sched.overlap {
+				// Two stages in flight per tree: one round's write-back and
+				// the next round's read of the same level may coexist.
+				port.SetMaxInFlight(2)
+			}
+			return &levelTimer{port: port, sched: sched, level: level}
+		})
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Backend != BackendDRAM {
-			return store, nil
+		if t.persist != nil {
+			h.persists = append(h.persists, t.persist)
 		}
-		port, err := bus.AttachShard(leafLevel, busBytes)
-		if err != nil {
-			return nil, err
+		if t.footprint != nil {
+			h.footprints = append(h.footprints, t.footprint)
 		}
-		if sched.overlap {
-			// Two stages in flight per tree: one round's write-back and the
-			// next round's read of the same level may coexist.
-			port.SetMaxInFlight(2)
+		if t.port != nil {
+			h.ports = append(h.ports, t.port)
 		}
-		h.ports = append(h.ports, port)
-		return core.NewTimedStore(store, &levelTimer{port: port, sched: sched, level: level})
+		return t.store, nil
 	}
 
 	hcfg := hierarchy.Config{
-		Blocks:                cfg.Blocks,
-		DataBlockBytes:        cfg.BlockSize,
-		DataZ:                 cfg.DataZ,
-		PosZ:                  cfg.PosZ,
-		DataUtilization:       cfg.Utilization,
-		PosBlockBytes:         cfg.PosBlockSize,
-		OnChipPosMapMax:       cfg.OnChipPosMapMax,
-		SuperBlock:            cfg.SuperBlockSize,
-		StashCapacity:         cfg.StashCapacity,
+		Blocks:                c.Blocks,
+		DataBlockBytes:        c.BlockSize,
+		DataZ:                 c.Z,
+		PosZ:                  ch.posZ,
+		DataUtilization:       c.Utilization,
+		PosBlockBytes:         ch.posBlockSize,
+		OnChipPosMapMax:       ch.onChipPosMapMax,
+		SuperBlock:            c.SuperBlockSize,
+		StashCapacity:         c.StashCapacity,
 		BackgroundEviction:    true,
-		DeferWriteBack:        cfg.AsyncEviction,
-		MaxDeferredWriteBacks: cfg.MaxDeferredWriteBacks,
-		ConstantTimeStash:     cfg.ConstantTimeStash,
+		DeferWriteBack:        c.AsyncEviction,
+		MaxDeferredWriteBacks: c.MaxDeferredWriteBacks,
+		ConstantTimeStash:     c.ConstantTimeStash,
 		NewStore:              factory,
-		Leaves:                leaves,
-		PLBBytes:              cfg.PLBBytes,
-		PLBConstantShape:      cfg.PLBConstantShape,
+		Leaves:                c.leafSource(),
+		PLBBytes:              ch.plbBytes,
+		PLBConstantShape:      ch.plbConstantShape,
 	}
 	if sched.overlap {
 		hcfg.OnRoundStart = sched.beginRound
 	}
-	if cfg.OnPathAccess != nil {
-		hook := cfg.OnPathAccess
+	if ch.onPathAccess != nil {
+		hook := ch.onPathAccess
 		hcfg.OnPathAccess = func(level int, leaf uint64, _ core.AccessKind) { hook(level, leaf) }
 	}
 	inner, err := hierarchy.New(hcfg)
@@ -537,13 +424,13 @@ func (h *Hierarchy) Store(addr uint64, data []byte) error {
 // out across shards), under the shared batch contract (see
 // serialReadBatch).
 func (h *Hierarchy) ReadBatch(addrs []uint64) ([][]byte, error) {
-	return serialReadBatch(addrs, h.cfg.Blocks, h.Read)
+	return serialReadBatch(addrs, h.blocks, h.Read)
 }
 
 // WriteBatch writes data[i] to addrs[i], back to back on the calling
 // goroutine, under the shared batch contract (see serialWriteBatch).
 func (h *Hierarchy) WriteBatch(addrs []uint64, data [][]byte) error {
-	return serialWriteBatch(addrs, data, h.cfg.Blocks, h.Write)
+	return serialWriteBatch(addrs, data, h.blocks, h.Write)
 }
 
 // PaddingAccess performs one dummy-shaped access through the whole chain:

@@ -9,8 +9,7 @@ package dram
 
 import (
 	"fmt"
-
-	"repro/internal/statmath"
+	"reflect"
 )
 
 // Timing collects DDR3 timing parameters in memory-bus clock cycles.
@@ -133,13 +132,42 @@ func (s Stats) Merge(other Stats) Stats {
 // Sub returns the counters accrued between the prev snapshot and s (prev
 // must be an earlier snapshot of the same counters): additive counters
 // subtract, and the high-water marks (LastCompletionCycle,
-// QueueOccupancyPeak) become their advance over the interval. The field
-// enumeration lives in statmath.SubCounters, shared with membus.Stats.Delta
-// — membus builds its per-port attribution and pre-fill-excluded deltas on
-// Merge and Sub, so a new field added here is aggregated and diffed
-// correctly everywhere by construction.
+// QueueOccupancyPeak) become their advance over the interval. The diff is
+// reflective (subCounters) — membus builds its per-port attribution and
+// pre-fill-excluded deltas on Merge and Sub, so a new field added here is
+// aggregated and diffed correctly everywhere by construction.
 func (s Stats) Sub(prev Stats) Stats {
-	return statmath.SubCounters(s, prev)
+	return subCounters(s, prev)
+}
+
+// subCounters returns cur minus prev, field by field: uint64 fields
+// subtract (plain counters become interval counts; monotone frontiers and
+// high-water marks become their advance over the interval), nested structs
+// recurse, and int fields — configuration constants carried in snapshots,
+// like an access granularity — are kept from cur unchanged. Any other
+// field kind panics: the counter structs are closed-world, and a new kind
+// must decide its diff semantics here explicitly.
+func subCounters[T any](cur, prev T) T {
+	cv := reflect.ValueOf(&cur).Elem()
+	subStruct(cv, reflect.ValueOf(prev))
+	return cur
+}
+
+func subStruct(cv, pv reflect.Value) {
+	for i := 0; i < cv.NumField(); i++ {
+		f := cv.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() - pv.Field(i).Uint())
+		case reflect.Struct:
+			subStruct(f, pv.Field(i))
+		case reflect.Int:
+			// Configuration constant (e.g. AccessBytes): carried, not diffed.
+		default:
+			panic(fmt.Sprintf("dram: field %s has unsupported kind %s",
+				cv.Type().Field(i).Name, f.Kind()))
+		}
+	}
 }
 
 // RowHitRate returns hits / (hits+misses) for this snapshot (0 when the

@@ -333,3 +333,48 @@ func TestPeakBandwidth(t *testing.T) {
 		t.Errorf("PeakBytesPerCycle=%v want %v", got, want)
 	}
 }
+
+type subInner struct {
+	Hits, Frontier uint64
+}
+
+type subOuter struct {
+	In    subInner
+	Count uint64
+	Bytes int
+}
+
+func TestSubCountersDiffsNestedCounters(t *testing.T) {
+	cur := subOuter{In: subInner{Hits: 10, Frontier: 900}, Count: 7, Bytes: 64}
+	prev := subOuter{In: subInner{Hits: 4, Frontier: 300}, Count: 2, Bytes: 64}
+	got := subCounters(cur, prev)
+	want := subOuter{In: subInner{Hits: 6, Frontier: 600}, Count: 5, Bytes: 64}
+	if got != want {
+		t.Errorf("subCounters = %+v, want %+v", got, want)
+	}
+	// Inputs are passed by value: cur must be untouched.
+	if cur.Count != 7 || cur.In.Hits != 10 {
+		t.Errorf("subCounters mutated its input: %+v", cur)
+	}
+}
+
+func TestSubCountersSelfIsZeroExceptConfig(t *testing.T) {
+	s := subOuter{In: subInner{Hits: 3, Frontier: 5}, Count: 9, Bytes: 32}
+	got := subCounters(s, s)
+	if got.In.Hits != 0 || got.In.Frontier != 0 || got.Count != 0 {
+		t.Errorf("self-diff left nonzero counters: %+v", got)
+	}
+	if got.Bytes != 32 {
+		t.Errorf("self-diff dropped the config constant: %+v", got)
+	}
+}
+
+func TestSubCountersRejectsUnknownKinds(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("subCounters accepted a float field without deciding its semantics")
+		}
+	}()
+	type bad struct{ Rate float64 }
+	subCounters(bad{Rate: 1}, bad{Rate: 2})
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +52,8 @@ type statsBody struct {
 //	GET    /v1/t/{name}/stats       protocol + timing counters (admin)
 //
 // Errors are {"error":...} with 400 (malformed), 404 (no tenant), 409
-// (exists), 503 (draining).
+// (exists), 413 (single-op body larger than any valid op), 503
+// (draining).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -96,10 +98,32 @@ func (s *Service) tenantHandler(fn func(w http.ResponseWriter, r *http.Request, 
 	}
 }
 
-func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) {
+// opEnvelopeBytes is the slack a single-op body gets beyond its base64
+// block: field names, a 20-digit address, an op tag and whitespace.
+const opEnvelopeBytes = 1 << 10
+
+// decodeOp decodes a single-op request body, bounded to the largest valid
+// op — one base64 block plus the JSON envelope — so a hostile body is
+// rejected (413) instead of being buffered into memory. It reports false
+// after writing the error response.
+func (s *Service) decodeOp(w http.ResponseWriter, r *http.Request) (opRequest, bool) {
 	var req opRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+	limit := int64(base64.StdEncoding.EncodedLen(s.template.BlockSize)) + opEnvelopeBytes
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "malformed request: " + err.Error()})
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	req, ok := s.decodeOp(w, r)
+	if !ok {
 		return
 	}
 	data, err := t.Client.Read(req.Addr)
@@ -111,9 +135,8 @@ func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) 
 }
 
 func (s *Service) handleWrite(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	var req opRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+	req, ok := s.decodeOp(w, r)
+	if !ok {
 		return
 	}
 	if len(req.Data) != s.template.BlockSize {

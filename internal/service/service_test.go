@@ -126,6 +126,32 @@ func TestServerTenantLifecycle(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedOpBody pins the single-op body bound: a body
+// larger than any valid op (one base64 block plus the JSON envelope) is
+// refused with 413 before the handler buffers it, on both endpoints,
+// while a well-formed op still goes through.
+func TestServerRejectsOversizedOpBody(t *testing.T) {
+	_, ts := newServer(t, memSpec())
+	doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil)
+	huge := wireOp{Addr: 1, Data: make([]byte, 1<<20)}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", huge, nil); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB write body: status %d, want 413", got)
+	}
+	padded := `{"addr":1` + strings.Repeat(" ", 1<<20) + `}`
+	resp, err := http.Post(ts.URL+"/v1/t/alice/read", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB read body: status %d, want 413", resp.StatusCode)
+	}
+	ok := wireOp{Addr: 1, Data: bytes.Repeat([]byte{7}, memSpec().BlockSize)}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", ok, nil); got != http.StatusOK {
+		t.Errorf("block-sized write: status %d, want 200", got)
+	}
+}
+
 // TestServerReadYourWritesConcurrentTenants is the e2e acceptance test:
 // several tenants on a file+WAL backend, each hammered by concurrent
 // clients over the socket, every read observing that client's latest

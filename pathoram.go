@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/encrypt"
-	"repro/internal/integrity"
 	"repro/internal/membus"
 	"repro/internal/storage"
 	"repro/internal/treemath"
@@ -169,9 +168,7 @@ type Config struct {
 	// cycle-accurate DDR3 model; TimingStats then reports modeled cycles.
 	Backend Backend
 	// DRAMChannels is the number of independent DDR3 channels under
-	// BackendDRAM (default 2; the paper sweeps 1/2/4). Inside a
-	// ShardedConfig all shards share one memory system with this many
-	// channels.
+	// BackendDRAM (default 2; the paper sweeps 1/2/4).
 	DRAMChannels int
 	// DRAMLayout selects the bucket-to-row placement under BackendDRAM
 	// (default LayoutSubtree, the paper's packed-subtree layout).
@@ -210,71 +207,47 @@ type Config struct {
 	// logged path frames the log self-checkpoints. 0 checkpoints only on
 	// Flush/Close. Requires WAL.
 	WALDepth int
-	// bus, when set, attaches this ORAM to an existing shared memory
-	// scheduler instead of creating one — NewSharded injects the bus it
-	// built so all shards contend for the same channels.
+	// bus, when set, attaches this tree to an existing shared memory
+	// scheduler instead of creating one — Open injects the bus it built so
+	// all shards (and every level of a recursive shard) contend for the
+	// same channels.
 	bus *membus.Bus
 	// storeName is the per-tree file-name prefix under BackendFile
-	// ("oram" standalone; NewSharded and NewHierarchy derive unique
-	// prefixes per shard and per recursion level).
+	// ("oram" standalone; Open and NewHierarchy derive unique prefixes per
+	// shard and per recursion level).
 	storeName string
 	// Rand, when set, makes all randomness (leaf selection, per-block
 	// keys) deterministic for reproducible simulation. Production use
-	// must leave it nil: leaves then come from crypto/rand. NewSharded
-	// never shares one generator across shards (math/rand generators are
-	// not goroutine-safe); it derives an independent per-shard generator
-	// from this one instead, keeping sharded simulations reproducible.
+	// must leave it nil: leaves then come from crypto/rand.
 	Rand *rand.Rand
 	// OnPathAccess, when set, observes every path the ORAM touches, in
 	// order, real and dummy alike — exactly the adversary's view of the
 	// access sequence. Observability/test hook; it runs synchronously on
-	// the accessing goroutine. In a ShardedConfig the hook is copied into
-	// every shard, whose workers invoke it concurrently — it must be safe
-	// for concurrent use there (or use OnShardPathAccess, whose shard
-	// index makes per-shard accumulators race-free).
+	// the accessing goroutine.
 	OnPathAccess func(leaf uint64)
 }
 
-func (c *Config) applyDefaults() error {
+// validate applies the defaults and enforces the rules every tree shares —
+// a flat ORAM, each hierarchy, each shard Open builds. It is the one place
+// these rules live: New and NewHierarchy add only the rules of their own
+// construction, and Open only the rules of Spec's composition axes.
+func (c *Config) validate() error {
 	if c.Blocks == 0 {
 		return fmt.Errorf("pathoram: Blocks must be >= 1")
 	}
 	if c.Z == 0 {
 		c.Z = 3
 	}
-	if c.Utilization == 0 {
-		c.Utilization = 0.5
-	}
-	if c.Utilization < 0 || c.Utilization > 1 {
-		return fmt.Errorf("pathoram: utilization %v out of (0,1]", c.Utilization)
-	}
 	if c.StashCapacity == 0 {
 		c.StashCapacity = 200
 	}
-	if c.SuperBlockSize == 0 {
-		c.SuperBlockSize = 1
-	}
-	if c.LeafLevel == 0 {
-		slots := uint64(float64(c.Blocks) / c.Utilization)
-		l := 0
-		for uint64(c.Z)*(1<<uint(l+1)-1) < slots && l < treemath.MaxLeafLevel {
-			l++
-		}
-		for uint64(c.Z)*(1<<uint(l+1)-1) < c.Blocks && l < treemath.MaxLeafLevel {
-			l++
-		}
-		c.LeafLevel = l
-	}
-	if c.BlockSize == 0 && c.Encryption != EncryptNone {
-		c.Encryption = EncryptNone
+	if c.Integrity && c.Encryption == EncryptNone {
+		return fmt.Errorf("pathoram: integrity verification requires encryption (hashes cover ciphertexts)")
 	}
 	switch c.Backend {
 	case BackendMem, BackendDRAM:
-		if c.Dir != "" {
-			return fmt.Errorf("pathoram: Dir names the tree-file directory; set Backend: BackendFile")
-		}
-		if c.WAL || c.WALDepth != 0 {
-			return fmt.Errorf("pathoram: WAL/WALDepth make the file backend crash-consistent; set Backend: BackendFile")
+		if c.Dir != "" || c.WAL || c.WALDepth != 0 {
+			return fmt.Errorf("pathoram: Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile")
 		}
 	case BackendFile:
 		if c.Dir == "" {
@@ -289,9 +262,6 @@ func (c *Config) applyDefaults() error {
 	default:
 		return fmt.Errorf("pathoram: unknown backend %d", c.Backend)
 	}
-	if c.WALDepth < 0 {
-		return fmt.Errorf("pathoram: WALDepth=%d must be >= 0", c.WALDepth)
-	}
 	if c.storeName == "" {
 		c.storeName = "oram"
 	}
@@ -299,9 +269,6 @@ func (c *Config) applyDefaults() error {
 	case LayoutSubtree, LayoutNaive:
 	default:
 		return fmt.Errorf("pathoram: unknown DRAM layout %d", c.DRAMLayout)
-	}
-	if c.DRAMChannels < 0 {
-		return fmt.Errorf("pathoram: DRAMChannels=%d must be >= 1", c.DRAMChannels)
 	}
 	switch c.DRAMSched {
 	case MemSchedInOrder, MemSchedFRFCFS:
@@ -334,6 +301,10 @@ func (c *Config) leafSource() core.LeafSource {
 	return core.NewCryptoLeafSource()
 }
 
+// plain reports whether the tree stores its buckets unencrypted:
+// EncryptNone, or a metadata-only tree with no payloads to encrypt.
+func (c *Config) plain() bool { return c.Encryption == EncryptNone || c.BlockSize == 0 }
+
 // buildScheme constructs the encryption scheme for one tree.
 func (c *Config) buildScheme(numBuckets uint64) (encrypt.Scheme, error) {
 	switch c.Encryption {
@@ -355,13 +326,21 @@ func (c *Config) buildScheme(numBuckets uint64) (encrypt.Scheme, error) {
 // the batch operations run their requests back to back on the calling
 // goroutine.
 type ORAM struct {
-	cfg     Config
-	inner   *core.ORAM
-	auth    *integrity.Tree
-	pos     *core.OnChipPositionMap
-	store   interface{ MemoryBytes() uint64 }
-	port    *membus.Port    // BackendDRAM: this tree's window onto the shared bus
-	persist storage.Storage // BackendFile: the durable storage under the store
+	cfg   Config
+	inner *core.ORAM
+	pos   *core.OnChipPositionMap
+
+	footprint interface{ MemoryBytes() uint64 } // external bytes; nil for the plain in-memory store
+	persist   storage.Storage                   // BackendFile: the tree (and WAL) file
+	port      *membus.Port                      // BackendDRAM: the tree's window onto the bus
+}
+
+// treeStack is one tree's storage stack as openStack builds it.
+type treeStack struct {
+	store     core.PathStore                    // the top layer, which the protocol drives
+	footprint interface{ MemoryBytes() uint64 } // external bytes; nil for the plain in-memory store
+	persist   storage.Storage                   // BackendFile: the tree (and WAL) file
+	port      *membus.Port                      // BackendDRAM: the tree's window onto the bus
 }
 
 // modeledBucketBytes returns the byte footprint one bucket occupies on the
@@ -379,51 +358,30 @@ func modeledBucketBytes(scheme encrypt.Scheme, z, blockBytes int) int {
 	return raw
 }
 
-// attachTiming wraps store in the timed layer, attaching to the injected
-// shared bus or — for a standalone DRAM-backed ORAM — a private one.
-func (c *Config) attachTiming(store core.PathStore, scheme encrypt.Scheme) (core.PathStore, *membus.Port, error) {
-	bus := c.bus
-	if bus == nil {
-		var err error
-		if bus, err = membus.New(membus.Config{
-			Channels:  c.DRAMChannels,
-			Layout:    c.DRAMLayout.membusLayout(),
-			Serialize: c.DRAMSerialize,
-			Sched:     c.dramSchedConfig(),
-		}); err != nil {
-			return nil, nil, err
-		}
+// ensureBus gives a BackendDRAM construction its memory bus: the shared one
+// Open injected, or a private one for a standalone tree or chain.
+func (c *Config) ensureBus() error {
+	if c.Backend != BackendDRAM || c.bus != nil {
+		return nil
 	}
-	port, err := bus.AttachShard(c.LeafLevel, modeledBucketBytes(scheme, c.Z, c.BlockSize))
-	if err != nil {
-		return nil, nil, err
+	layout, policy := membus.LayoutSubtree, dram.SchedInOrder
+	if c.DRAMLayout == LayoutNaive {
+		layout = membus.LayoutNaive
 	}
-	timed, err := core.NewTimedStore(store, port)
-	if err != nil {
-		return nil, nil, err
-	}
-	return timed, port, nil
-}
-
-func (l DRAMLayout) membusLayout() membus.Layout {
-	if l == LayoutNaive {
-		return membus.LayoutNaive
-	}
-	return membus.LayoutSubtree
-}
-
-// dramSchedConfig translates the public scheduler knobs into the
-// controller's configuration.
-func (c *Config) dramSchedConfig() dram.SchedConfig {
-	policy := dram.SchedInOrder
 	if c.DRAMSched == MemSchedFRFCFS {
 		policy = dram.SchedFRFCFS
 	}
-	return dram.SchedConfig{
-		Policy:        policy,
-		QueueDepth:    c.DRAMQueueDepth,
-		StarvationCap: c.DRAMStarveCap,
+	bus, err := membus.New(membus.Config{
+		Channels:  c.DRAMChannels,
+		Layout:    layout,
+		Serialize: c.DRAMSerialize,
+		Sched:     dram.SchedConfig{Policy: policy, QueueDepth: c.DRAMQueueDepth, StarvationCap: c.DRAMStarveCap},
+	})
+	if err != nil {
+		return err
 	}
+	c.bus = bus
+	return nil
 }
 
 // openPersist builds the BackendFile storage stack for one tree: the
@@ -450,76 +408,116 @@ func (c *Config) openPersist(numBuckets uint64, stride int) (storage.Storage, er
 	return st, nil
 }
 
-// New builds an ORAM from the configuration.
-func New(cfg Config) (*ORAM, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+// openStack builds the storage stack of one tree at c's geometry
+// (LeafLevel, Z, BlockSize) — the one builder behind New and every
+// hierarchy level. Bottom to top: the tree file (BackendFile); the plain or
+// encrypting bucket store, with the authentication tree under Integrity;
+// and the timed layer on c.bus (BackendDRAM; ensureBus supplies the bus if
+// none was injected), which charges the tree's port through timer (nil
+// charges the port directly).
+func (c *Config) openStack(timer func(*membus.Port) core.PathTimer) (treeStack, error) {
+	var t treeStack
+	if err := c.ensureBus(); err != nil {
+		return t, err
 	}
-	if cfg.Integrity && cfg.Encryption == EncryptNone {
-		return nil, fmt.Errorf("pathoram: integrity verification requires encryption (hashes cover ciphertexts)")
-	}
-	tree := treemath.New(cfg.LeafLevel)
-	var store core.PathStore
 	var scheme encrypt.Scheme
-	var auth *integrity.Tree
-	var footprint interface{ MemoryBytes() uint64 }
-	var persist storage.Storage
-	if cfg.Encryption == EncryptNone {
-		if cfg.Backend == BackendFile {
-			var err error
-			persist, err = cfg.openPersist(tree.NumBuckets(), storage.PlainRecordBytes(cfg.Z, cfg.BlockSize))
+	buckets := treemath.New(c.LeafLevel).NumBuckets()
+	if c.plain() {
+		if c.Backend == BackendFile {
+			p, err := c.openPersist(buckets, storage.PlainRecordBytes(c.Z, c.BlockSize))
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			ps, err := storage.NewPathStore(persist, cfg.LeafLevel, cfg.Z, cfg.BlockSize)
+			ps, err := storage.NewPathStore(p, c.LeafLevel, c.Z, c.BlockSize)
 			if err != nil {
-				persist.Close()
-				return nil, err
+				p.Close()
+				return t, err
 			}
-			store, footprint = ps, ps
+			t.store, t.footprint, t.persist = ps, ps, p
 		} else {
-			ms, err := core.NewMemStore(cfg.LeafLevel, cfg.Z, cfg.BlockSize)
+			ms, err := core.NewMemStore(c.LeafLevel, c.Z, c.BlockSize)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			store = ms
+			t.store = ms
 		}
 	} else {
 		var err error
-		if scheme, err = cfg.buildScheme(tree.NumBuckets()); err != nil {
-			return nil, err
+		if scheme, err = c.buildScheme(buckets); err != nil {
+			return t, err
 		}
-		scfg := encrypt.StoreConfig{
-			LeafLevel: cfg.LeafLevel, Z: cfg.Z, BlockBytes: cfg.BlockSize,
-			Scheme: scheme,
+		scfg := encrypt.StoreConfig{LeafLevel: c.LeafLevel, Z: c.Z, BlockBytes: c.BlockSize, Scheme: scheme}
+		if c.Integrity {
+			scfg.Auth = encrypt.NewAuthTree(c.LeafLevel, c.Z, c.BlockSize, scheme)
 		}
-		if cfg.Integrity {
-			auth = encrypt.NewAuthTree(cfg.LeafLevel, cfg.Z, cfg.BlockSize, scheme)
-			scfg.Auth = auth
-		}
-		if cfg.Backend == BackendFile {
-			persist, err = cfg.openPersist(tree.NumBuckets(), encrypt.PaddedBucketBytes(scheme, cfg.Z, cfg.BlockSize))
-			if err != nil {
-				return nil, err
+		if c.Backend == BackendFile {
+			if scfg.Backing, err = c.openPersist(buckets, encrypt.PaddedBucketBytes(scheme, c.Z, c.BlockSize)); err != nil {
+				return t, err
 			}
-			scfg.Backing = persist
 		}
 		es, err := encrypt.NewStore(scfg)
 		if err != nil {
-			if persist != nil {
-				persist.Close()
+			if scfg.Backing != nil {
+				scfg.Backing.Close()
 			}
-			return nil, err
+			return t, err
 		}
-		store = es
-		footprint = es
+		t.store, t.footprint, t.persist = es, es, scfg.Backing
 	}
-	var port *membus.Port
-	if cfg.Backend == BackendDRAM {
-		var err error
-		if store, port, err = cfg.attachTiming(store, scheme); err != nil {
-			return nil, err
+	if c.Backend == BackendDRAM {
+		port, err := c.bus.AttachShard(c.LeafLevel, modeledBucketBytes(scheme, c.Z, c.BlockSize))
+		if err != nil {
+			return t, err
 		}
+		var pt core.PathTimer = port
+		if timer != nil {
+			pt = timer(port)
+		}
+		if t.store, err = core.NewTimedStore(t.store, pt); err != nil {
+			return t, err
+		}
+		t.port = port
+	}
+	return t, nil
+}
+
+// New builds an ORAM from the configuration.
+func New(cfg Config) (*ORAM, error) {
+	if cfg.BlockSize == 0 {
+		cfg.Encryption = EncryptNone // metadata-only: no payloads to encrypt
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Utilization == 0 {
+		cfg.Utilization = 0.5
+	}
+	if cfg.Utilization < 0 || cfg.Utilization > 1 {
+		return nil, fmt.Errorf("pathoram: utilization %v out of (0,1]", cfg.Utilization)
+	}
+	if cfg.WALDepth < 0 {
+		return nil, fmt.Errorf("pathoram: WALDepth=%d must be >= 0", cfg.WALDepth)
+	}
+	if cfg.DRAMChannels < 0 {
+		return nil, fmt.Errorf("pathoram: DRAMChannels=%d must be >= 1", cfg.DRAMChannels)
+	}
+	if cfg.SuperBlockSize == 0 {
+		cfg.SuperBlockSize = 1
+	}
+	if cfg.LeafLevel == 0 {
+		slots := uint64(float64(cfg.Blocks) / cfg.Utilization)
+		l := 0
+		for uint64(cfg.Z)*(1<<uint(l+1)-1) < slots && l < treemath.MaxLeafLevel {
+			l++
+		}
+		for uint64(cfg.Z)*(1<<uint(l+1)-1) < cfg.Blocks && l < treemath.MaxLeafLevel {
+			l++
+		}
+		cfg.LeafLevel = l
+	}
+	t, err := cfg.openStack(nil)
+	if err != nil {
+		return nil, err
 	}
 	src := cfg.leafSource()
 	params := core.Params{
@@ -538,15 +536,15 @@ func New(cfg Config) (*ORAM, error) {
 		hook := cfg.OnPathAccess
 		params.OnPathAccess = func(leaf uint64, _ core.AccessKind) { hook(leaf) }
 	}
-	pos, err := core.NewOnChipPositionMap(params.Groups(), tree.NumLeaves(), src)
+	pos, err := core.NewOnChipPositionMap(params.Groups(), treemath.New(cfg.LeafLevel).NumLeaves(), src)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.New(params, store, pos, src)
+	inner, err := core.New(params, t.store, pos, src)
 	if err != nil {
 		return nil, err
 	}
-	return &ORAM{cfg: cfg, inner: inner, auth: auth, pos: pos, store: footprint, port: port, persist: persist}, nil
+	return &ORAM{cfg: cfg, inner: inner, pos: pos, footprint: t.footprint, persist: t.persist, port: t.port}, nil
 }
 
 // Read returns a copy of the block at addr (zero-filled if never written).
@@ -727,8 +725,8 @@ func (o *ORAM) Close() error {
 // ExternalMemoryBytes returns the external storage footprint (0 for plain
 // in-memory stores).
 func (o *ORAM) ExternalMemoryBytes() uint64 {
-	if o.store == nil {
+	if o.footprint == nil {
 		return 0
 	}
-	return o.store.MemoryBytes()
+	return o.footprint.MemoryBytes()
 }

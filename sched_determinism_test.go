@@ -21,7 +21,7 @@ func queueDeterminismRun(t *testing.T, sched MemSched, seed int64) TimingStats {
 	const shards, blocks, batch, ops = 4, 256, 16, 200
 	cfg := dramConfig(shards, blocks, PartitionStripe, false, seed)
 	cfg.DRAMSched = sched
-	s, err := NewSharded(cfg)
+	s, err := openSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

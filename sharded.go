@@ -37,70 +37,11 @@ const (
 	// the address. Every access becomes two path accesses (fetch from the
 	// current home, relocate to the new one), and every shard must be
 	// sized for the whole address space — the storage and bandwidth price
-	// of hiding the routing. Combine with ShardedConfig.Padded for
+	// of hiding the routing. Combine with Spec.Padded for
 	// batches whose shard schedule has a fixed, input-independent shape;
 	// see SECURITY.md for exactly what each combination hides.
 	PartitionRandom
 )
-
-// ShardedConfig describes a sharded, concurrency-safe ORAM: N independent
-// Path ORAM instances behind a batched request scheduler.
-type ShardedConfig struct {
-	// Config is the per-shard template. Blocks is the TOTAL logical
-	// address space; it is split across the shards by Partition, and every
-	// other field applies to each shard individually (an explicit
-	// LeafLevel, for instance, sizes every shard's tree). Key is the
-	// master secret: each shard receives its own key derived from it, and
-	// Rand seeds an independent per-shard generator — neither is ever
-	// shared between shards (see NewSharded). Exception: the timed
-	// backend. With Backend: BackendDRAM every shard attaches to ONE
-	// shared memory scheduler (DRAMChannels channels, DRAMLayout
-	// placement), so concurrent shards contend for the same modeled
-	// channels and banks — the multi-channel deployment the paper
-	// analyzes. TimingStats then reports modeled cycles for the whole
-	// fleet.
-	Config
-	// Shards is the number of independent Path ORAM instances, each owned
-	// by its own worker goroutine. Default 1. Must not exceed Blocks.
-	Shards int
-	// Partition selects the address-space split (default PartitionStripe).
-	Partition Partition
-	// QueueDepth is the per-shard request queue length (default 128).
-	QueueDepth int
-	// EvictionsPerIdle caps how many background-eviction dummy accesses a
-	// worker issues per idle gap (default 4; negative disables idle
-	// eviction, leaving only write-back completion). Only meaningful with
-	// AsyncEviction (promoted from Config), which turns each shard into a
-	// two-stage pipeline: the worker answers a request as soon as its path
-	// has been read and merged, then completes the deferred write-back —
-	// and runs background stash eviction — during idle queue time.
-	// Client-visible latency pays only for the read half of each access;
-	// under sustained saturation the deferred work drains inline and
-	// throughput matches the synchronous mode. Close, Inspect-based
-	// snapshots (Stats, ShardStats, StashSize) and Flush all drain fully
-	// first, so observed state always matches the synchronous protocol.
-	// See DESIGN.md (pipelining) and SECURITY.md (why the idle-time
-	// schedule leaks nothing).
-	EvictionsPerIdle int
-	// Padded switches ReadBatch/WriteBatch to the padded batch mode:
-	// every batch touches every shard an equal number of times — the
-	// larger of ceil(batchSize/Shards) and the busiest shard's real
-	// demand — with scheduler-issued dummy accesses (OpPadding, real
-	// random-path accesses) filling the empty slots. An observer of the
-	// shard schedule cannot tell which slots carried real requests.
-	// Under PartitionRandom the whole shape is additionally independent
-	// of the requested addresses; under the fixed partitions the shape's
-	// height still tracks the busiest shard (see DESIGN.md's decision
-	// table). Padding overhead is counted in Stats.PaddingAccesses.
-	// Single operations are never padded.
-	Padded bool
-	// OnShardPathAccess, when set, observes every path each shard touches
-	// — the adversary's per-shard view of the access sequence. It is
-	// called from the shard worker goroutines, so distinct shards invoke
-	// it concurrently; the callback must tolerate that (per-shard
-	// accumulators indexed by the shard argument need no locking).
-	OnShardPathAccess func(shard int, leaf uint64)
-}
 
 // Sharded is a concurrency-safe ORAM serving layer. It partitions the
 // logical address space over independent Path ORAM shards, each owned
@@ -175,69 +116,72 @@ func (e hierarchyEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
 	return e.Hierarchy.inner.Load(addr)
 }
 
-// engineFactory builds shard i's engine from its fully specialized
-// per-shard Config (Blocks narrowed to the shard's slice, Key and Rand
-// independently derived, the shared bus injected, hooks wrapped). Open
-// supplies a factory that builds hierarchies; NewSharded's builds flat
-// ORAMs.
-type engineFactory func(i int, sc Config) (clientEngine, error)
-
-// NewSharded builds the sharded ORAM. Per-shard derivations keep the
-// shards cryptographically and statistically independent:
+// openSharded builds the serving layer Open returns. It enforces the rules
+// that exist only in Spec — inert knobs on the selected axis values, the
+// shard count, the partition — and leaves every per-tree rule to the shard
+// constructors (New for flat shards, newHierarchy for recursive ones),
+// which it calls with a Config derived straight from spec. Per-shard
+// derivations keep the shards cryptographically and statistically
+// independent:
 //
-//   - Keys: cfg.Key (drawn fresh when nil) acts as a master secret; shard i
-//     encrypts under AES_master(i). Sharing one key would reuse one-time
+//   - Keys: spec.Key (drawn fresh when nil) acts as a master secret; shard
+//     i encrypts under AES_master(i). Sharing one key would reuse one-time
 //     pads — CounterScheme's pad depends only on (key, bucketID, counter)
 //     and every shard numbers its buckets from zero.
-//   - Randomness: when cfg.Rand is set, each shard gets its own generator
-//     seeded from a draw on cfg.Rand (which is consumed in shard order, so
-//     a fixed parent seed reproduces the whole sharded simulation).
-//     math/rand generators are not goroutine-safe; sharing one across
-//     workers would be a data race.
-func NewSharded(cfg ShardedConfig) (*Sharded, error) {
-	// Flat shards derive per-shard keys only when encryption is actually
-	// in use (BlockSize 0 forces EncryptNone in applyDefaults): an unused
-	// Key of arbitrary length must not fail a plaintext simulation.
-	needKeys := cfg.Encryption != EncryptNone && cfg.BlockSize > 0
-	return newSharded(cfg, needKeys, func(_ int, sc Config) (clientEngine, error) {
-		o, err := New(sc)
-		if err != nil {
-			return nil, err
+//   - Randomness: when spec.Rand is set, each shard gets its own generator
+//     seeded from a draw on spec.Rand, consumed in shard order (then one
+//     draw for the PartitionRandom router, then one for padding draws), so
+//     a fixed parent seed reproduces the whole sharded simulation. math/rand generators are
+//     not goroutine-safe; sharing one across workers would be a data race.
+func openSharded(spec Spec) (*Sharded, error) {
+	// Reject knobs that would be silently inert on the selected axis
+	// values, so a design-space sweep never varies a field that changes
+	// nothing (DRAM knobs need the timed backend; recursion knobs need the
+	// recursive position map).
+	if spec.Backend != BackendDRAM &&
+		(spec.DRAMChannels != 0 || spec.DRAMLayout != LayoutSubtree || spec.DRAMSerialize) {
+		return nil, fmt.Errorf("pathoram: DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend; set Backend: BackendDRAM")
+	}
+	if spec.Backend != BackendDRAM && spec.DRAMSched != MemSchedInOrder {
+		return nil, fmt.Errorf("pathoram: DRAMSched parameterizes the timed backend; set Backend: BackendDRAM")
+	}
+	switch spec.PosMap {
+	case PosMapOnChip:
+		if spec.PosBlockSize != 0 || spec.OnChipPosMapMax != 0 || spec.PosZ != 0 {
+			return nil, fmt.Errorf("pathoram: PosBlockSize/OnChipPosMapMax/PosZ parameterize the recursive position map; set PosMap: PosMapRecursive")
 		}
-		return oramEngine{o}, nil
-	})
-}
-
-// newSharded is the shared serving-layer builder: it validates the
-// config, derives the per-shard key/randomness material, builds the
-// shared memory bus when the backend is timed, constructs one engine per
-// shard through the factory, and starts the worker pool.
-func newSharded(cfg ShardedConfig, needKeys bool, build engineFactory) (*Sharded, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
+		if spec.PLBBytes != 0 || spec.PLBConstantShape || spec.Overlap != 0 {
+			return nil, fmt.Errorf("pathoram: PLBBytes/PLBConstantShape/Overlap accelerate the recursive position-map chain; set PosMap: PosMapRecursive")
+		}
+	case PosMapRecursive:
+	default:
+		return nil, fmt.Errorf("pathoram: unknown position-map policy %d", spec.PosMap)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("pathoram: Shards=%d must be >= 1", cfg.Shards)
+	shards := spec.Shards
+	if shards == 0 {
+		shards = 1
 	}
-	if cfg.Blocks == 0 {
-		return nil, fmt.Errorf("pathoram: Blocks must be >= 1")
+	if shards < 0 {
+		return nil, fmt.Errorf("pathoram: Shards=%d must be >= 1", shards)
 	}
-	if uint64(cfg.Shards) > cfg.Blocks {
-		return nil, fmt.Errorf("pathoram: %d shards for %d blocks; every shard needs at least one block", cfg.Shards, cfg.Blocks)
+	if uint64(shards) > spec.Blocks {
+		return nil, fmt.Errorf("pathoram: %d shards for %d blocks; every shard needs at least one block", shards, spec.Blocks)
 	}
-	switch cfg.Partition {
+	switch spec.Partition {
 	case PartitionStripe, PartitionRange, PartitionRandom:
 	default:
-		return nil, fmt.Errorf("pathoram: unknown partition %d", cfg.Partition)
+		return nil, fmt.Errorf("pathoram: unknown partition %d", spec.Partition)
 	}
 	// The master must be exactly 16 bytes — AES-KDF subkeys are AES-128,
 	// and quietly accepting a 32-byte master would downgrade an intended
-	// AES-256 setup. needKeys is the construction's own rule for whether
-	// encryption material is in play (hierarchies encrypt their
-	// position-map levels even when the data ORAM is metadata-only).
+	// AES-256 setup. Keys are derived only when encryption material is in
+	// play: a metadata-only flat tree forces EncryptNone, so an unused Key
+	// of arbitrary length must not fail a plaintext simulation, while
+	// position-map levels always carry payloads and always encrypt.
+	recursive := spec.PosMap == PosMapRecursive
 	var keys [][]byte
-	if needKeys {
-		master := cfg.Key
+	if spec.Encryption != EncryptNone && (spec.BlockSize > 0 || recursive) {
+		master := spec.Key
 		if master == nil {
 			master = make([]byte, encrypt.KeySize)
 			if _, err := crand.Read(master); err != nil {
@@ -248,40 +192,59 @@ func newSharded(cfg ShardedConfig, needKeys bool, build engineFactory) (*Sharded
 				len(master), encrypt.KeySize)
 		}
 		var err error
-		if keys, err = deriveShardKeys(master, cfg.Shards); err != nil {
+		if keys, err = deriveShardKeys(master, shards); err != nil {
 			return nil, err
 		}
 	}
-	n := uint64(cfg.Shards)
+	n := uint64(shards)
 	s := &Sharded{
-		engines:   make([]clientEngine, cfg.Shards),
-		blocks:    cfg.Blocks,
-		blockSize: cfg.BlockSize,
+		engines:   make([]clientEngine, shards),
+		blocks:    spec.Blocks,
+		blockSize: spec.BlockSize,
 		n:         n,
-		partition: cfg.Partition,
-		padded:    cfg.Padded,
-		base:      cfg.Blocks / n,
-		big:       cfg.Blocks % n,
+		partition: spec.Partition,
+		padded:    spec.Padded,
+		base:      spec.Blocks / n,
+		big:       spec.Blocks % n,
 	}
-	if cfg.Backend == BackendDRAM {
-		// One memory scheduler for the whole deployment: every shard's
-		// path reads and write-backs land on the same modeled channels, in
-		// shard order (the attach order fixes the physical address map).
-		bus, err := membus.New(membus.Config{
-			Channels:  cfg.DRAMChannels,
-			Layout:    cfg.DRAMLayout.membusLayout(),
-			Serialize: cfg.DRAMSerialize,
-			Sched:     cfg.dramSchedConfig(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.bus = bus
-		s.bus = bus
+	tc := Config{
+		BlockSize:             spec.BlockSize,
+		Z:                     spec.Z,
+		Utilization:           spec.Utilization,
+		StashCapacity:         spec.StashCapacity,
+		ConstantTimeStash:     spec.ConstantTimeStash,
+		SuperBlockSize:        spec.SuperBlockSize,
+		Encryption:            spec.Encryption,
+		Integrity:             spec.Integrity,
+		Key:                   spec.Key,
+		AsyncEviction:         spec.AsyncEviction,
+		MaxDeferredWriteBacks: spec.MaxDeferredWriteBacks,
+		Backend:               spec.Backend,
+		DRAMChannels:          spec.DRAMChannels,
+		DRAMLayout:            spec.DRAMLayout,
+		DRAMSerialize:         spec.DRAMSerialize,
+		DRAMSched:             spec.DRAMSched,
+		DRAMQueueDepth:        spec.DRAMQueueDepth,
+		DRAMStarveCap:         spec.DRAMStarveCap,
+		Dir:                   spec.Dir,
+		WAL:                   spec.WAL,
+		WALDepth:              spec.WALDepth,
 	}
-	engines := make([]shard.Engine, cfg.Shards)
+	// One memory scheduler for the whole deployment: every shard's path
+	// reads and write-backs land on the same modeled channels, in shard
+	// order (the attach order fixes the physical address map).
+	if err := tc.ensureBus(); err != nil {
+		return nil, err
+	}
+	s.bus = tc.bus
+	chain := chainConfig{
+		posZ: spec.PosZ, posBlockSize: spec.PosBlockSize, onChipPosMapMax: spec.OnChipPosMapMax,
+		plbBytes: spec.PLBBytes, plbConstantShape: spec.PLBConstantShape, overlap: spec.Overlap,
+	}
+	hook := spec.OnPathAccess
+	engines := make([]shard.Engine, shards)
 	for i := range s.engines {
-		sc := cfg.Config
+		sc := tc
 		sc.Blocks = s.shardBlocks(i)
 		// Per-shard file names: shard i's trees live under Dir as
 		// "shard<i>[-l<level>]" so shards never collide in one directory.
@@ -289,19 +252,29 @@ func newSharded(cfg ShardedConfig, needKeys bool, build engineFactory) (*Sharded
 		if keys != nil {
 			sc.Key = keys[i]
 		}
-		if cfg.Rand != nil {
-			sc.Rand = rand.New(rand.NewSource(cfg.Rand.Int63()))
+		if spec.Rand != nil {
+			sc.Rand = rand.New(rand.NewSource(spec.Rand.Int63()))
 		}
-		if cfg.OnShardPathAccess != nil {
-			hook, inner := cfg.OnShardPathAccess, cfg.Config.OnPathAccess
-			sc.OnPathAccess = func(leaf uint64) {
-				if inner != nil {
-					inner(leaf)
-				}
-				hook(i, leaf)
+		var e clientEngine
+		var err error
+		if recursive {
+			ch := chain
+			if hook != nil {
+				ch.onPathAccess = func(level int, leaf uint64) { hook(i, level, leaf) }
+			}
+			var h *Hierarchy
+			if h, err = newHierarchy(sc, ch); err == nil {
+				e = hierarchyEngine{h}
+			}
+		} else {
+			if hook != nil {
+				sc.OnPathAccess = func(leaf uint64) { hook(i, 0, leaf) }
+			}
+			var o *ORAM
+			if o, err = New(sc); err == nil {
+				e = oramEngine{o}
 			}
 		}
-		e, err := build(i, sc)
 		if err != nil {
 			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
 		}
@@ -309,36 +282,36 @@ func newSharded(cfg ShardedConfig, needKeys bool, build engineFactory) (*Sharded
 		engines[i] = e
 	}
 	pool, err := shard.NewPool(engines, shard.Config{
-		QueueDepth:       cfg.QueueDepth,
-		IdleWork:         cfg.AsyncEviction,
-		EvictionsPerIdle: cfg.EvictionsPerIdle,
+		QueueDepth:       spec.QueueDepth,
+		IdleWork:         spec.AsyncEviction,
+		EvictionsPerIdle: spec.EvictionsPerIdle,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.pool = pool
-	if cfg.Partition == PartitionRandom {
+	if spec.Partition == PartitionRandom {
 		// The router's shard draws get their own source: deterministic
-		// (derived from cfg.Rand, after the per-shard seeds, so existing
-		// seeded simulations keep their per-shard streams) or crypto.
+		// (derived from spec.Rand, after the per-shard seeds, so seeded
+		// simulations keep their per-shard streams) or crypto.
 		var src core.LeafSource
-		if cfg.Rand != nil {
-			src = core.NewMathLeafSource(rand.New(rand.NewSource(cfg.Rand.Int63())))
+		if spec.Rand != nil {
+			src = core.NewMathLeafSource(rand.New(rand.NewSource(spec.Rand.Int63())))
 		} else {
 			src = core.NewCryptoLeafSource()
 		}
-		s.router = newRandomRouter(cfg.Blocks, newShardDrawer(src, cfg.Shards))
+		s.router = newRandomRouter(spec.Blocks, newShardDrawer(src, shards))
 	}
 	// The single-operation PaddingAccess targets a uniformly drawn shard;
 	// its draws get their own source, derived last so the per-shard and
-	// router streams of existing seeded simulations stay unchanged.
+	// router streams of seeded simulations stay unchanged.
 	var padSrc core.LeafSource
-	if cfg.Rand != nil {
-		padSrc = core.NewMathLeafSource(rand.New(rand.NewSource(cfg.Rand.Int63())))
+	if spec.Rand != nil {
+		padSrc = core.NewMathLeafSource(rand.New(rand.NewSource(spec.Rand.Int63())))
 	} else {
 		padSrc = core.NewCryptoLeafSource()
 	}
-	s.padDraws = newShardDrawer(padSrc, cfg.Shards)
+	s.padDraws = newShardDrawer(padSrc, shards)
 	return s, nil
 }
 
@@ -438,13 +411,6 @@ func (s *Sharded) globalOf(sh int, local uint64) uint64 {
 	return local*s.n + uint64(sh)
 }
 
-func (s *Sharded) checkAddr(addr uint64) error {
-	if addr >= s.blocks {
-		return fmt.Errorf("pathoram: address %d out of range [0,%d)", addr, s.blocks)
-	}
-	return nil
-}
-
 // NumShards returns the number of independent ORAM shards.
 func (s *Sharded) NumShards() int { return len(s.engines) }
 
@@ -524,7 +490,7 @@ func (s *Sharded) Read(addr uint64) ([]byte, error) {
 	if s.partition == PartitionRandom {
 		return s.randomAccess(addr, shard.OpRead, nil, nil)
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return nil, err
 	}
 	sh, local := s.shardOf(addr)
@@ -554,7 +520,7 @@ func (s *Sharded) ReadInto(addr uint64, dst []byte) (bool, error) {
 		copy(dst, out)
 		return true, nil
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return false, err
 	}
 	sh, local := s.shardOf(addr)
@@ -573,7 +539,7 @@ func (s *Sharded) Write(addr uint64, data []byte) error {
 		_, err := s.randomAccess(addr, shard.OpWrite, data, nil)
 		return err
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return err
 	}
 	sh, local := s.shardOf(addr)
@@ -593,7 +559,7 @@ func (s *Sharded) Update(addr uint64, fn func(data []byte)) error {
 		_, err := s.randomAccess(addr, shard.OpUpdate, nil, fn)
 		return err
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return err
 	}
 	sh, local := s.shardOf(addr)
@@ -623,7 +589,7 @@ func (s *Sharded) Load(addr uint64) (data []byte, found bool, group []Block, err
 	if s.partition == PartitionRandom {
 		return nil, false, nil, errRandomExclusive
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return nil, false, nil, err
 	}
 	sh, local := s.shardOf(addr)
@@ -643,7 +609,7 @@ func (s *Sharded) Store(addr uint64, data []byte) error {
 	if s.partition == PartitionRandom {
 		return errRandomExclusive
 	}
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return err
 	}
 	sh, local := s.shardOf(addr)
@@ -787,7 +753,7 @@ func (s *Sharded) batchRequests(addrs []uint64, build func(i int, local uint64) 
 	shards := make([]int, len(addrs))
 	backing := make([]shard.Request, len(addrs))
 	for i, a := range addrs {
-		if err := s.checkAddr(a); err != nil {
+		if err := checkAddr(a, s.blocks); err != nil {
 			return nil, nil, err
 		}
 		sh, local := s.shardOf(a)

@@ -14,17 +14,16 @@ import (
 // Tests for the async (staged) serving mode. Everything here is named
 // TestAsync* so CI can run the whole async suite with `-run Async`.
 
-// asyncConfig returns a ShardedConfig with the staged pipeline on.
-func asyncConfig(shards int, blocks uint64, part Partition, seed int64) ShardedConfig {
-	return ShardedConfig{
-		Shards:    shards,
-		Partition: part,
-		Config: Config{
-			Blocks: blocks, BlockSize: 16,
-			Encryption:    EncryptCounter,
-			AsyncEviction: true,
-			Rand:          rand.New(rand.NewSource(seed)),
-		},
+// asyncConfig returns a Spec with the staged pipeline on.
+func asyncConfig(shards int, blocks uint64, part Partition, seed int64) Spec {
+	return Spec{
+		Shards:        shards,
+		Partition:     part,
+		Blocks:        blocks,
+		BlockSize:     16,
+		Encryption:    EncryptCounter,
+		AsyncEviction: true,
+		Rand:          rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -39,17 +38,17 @@ func TestAsyncEquivalenceReplay(t *testing.T) {
 	for _, part := range []Partition{PartitionStripe, PartitionRange, PartitionRandom} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", partName(part), shards), func(t *testing.T) {
-				syncS, err := NewSharded(ShardedConfig{
+				syncS, err := openSharded(Spec{
 					Shards: shards, Partition: part,
-					Config: Config{Blocks: blocks, BlockSize: 16,
-						Encryption: EncryptCounter,
-						Rand:       rand.New(rand.NewSource(11))},
+					Blocks: blocks, BlockSize: 16,
+					Encryption: EncryptCounter,
+					Rand:       rand.New(rand.NewSource(11)),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer syncS.Close()
-				asyncS, err := NewSharded(asyncConfig(shards, blocks, part, 12))
+				asyncS, err := openSharded(asyncConfig(shards, blocks, part, 12))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +159,7 @@ func TestAsyncConcurrentClientsDrainOnClose(t *testing.T) {
 	const blocks = 1024
 	const clients = 8
 	const opsPer = 150
-	s, err := NewSharded(asyncConfig(shards, blocks, PartitionStripe, 21))
+	s, err := openSharded(asyncConfig(shards, blocks, PartitionStripe, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestAsyncConcurrentClientsDrainOnClose(t *testing.T) {
 // exact.
 func TestAsyncInspectSnapshotsConsistent(t *testing.T) {
 	const blocks = 256
-	s, err := NewSharded(asyncConfig(4, blocks, PartitionStripe, 31))
+	s, err := openSharded(asyncConfig(4, blocks, PartitionStripe, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,20 +325,19 @@ func TestAsyncLeafSequencesUniform(t *testing.T) {
 			for i := range hists {
 				hists[i] = make([]uint64, 1<<leafLevel)
 			}
-			s, err := NewSharded(ShardedConfig{
+			s, err := openSharded(Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, LeafLevel: leafLevel, Z: 4,
-					StashCapacity: 150,
-					AsyncEviction: true,
-					Rand:          rand.New(rand.NewSource(9002)),
-				},
-				OnShardPathAccess: func(sh int, leaf uint64) { hists[sh][leaf]++ },
+				Blocks: blocks, Z: 4, // 192 blocks per shard: leaf level 6
+				StashCapacity: 150,
+				AsyncEviction: true,
+				Rand:          rand.New(rand.NewSource(9002)),
+				OnPathAccess:  func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			requireLeafLevel(t, s, leafLevel)
 			for i := 0; i < accesses; i++ {
 				if err := s.Write(w(i), nil); err != nil {
 					t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // named TestDRAM* so CI can run the timed-backend suite with
 // `-run 'DRAM|Timed'`.
 
-// dramConfig returns a ShardedConfig on the timed backend. Async runs
+// dramConfig returns a Spec on the timed backend. Async runs
 // disable idle eviction (EvictionsPerIdle: -1): idle-time dummy accesses
 // fire on the goroutine scheduler's whim and would consume per-shard
 // randomness nondeterministically, while write-back *completions* — the
@@ -23,19 +23,18 @@ import (
 // post-Flush state (TestStagedBitIdenticalToSync pins that). With them
 // off, a single-client replay is fully deterministic, which is what lets
 // the equivalence test demand byte-identical trees.
-func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) ShardedConfig {
-	return ShardedConfig{
+func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) Spec {
+	return Spec{
 		Shards:           shards,
 		Partition:        part,
 		EvictionsPerIdle: -1,
-		Config: Config{
-			Blocks: blocks, BlockSize: 16,
-			Encryption:    EncryptNone,
-			Backend:       BackendDRAM,
-			DRAMChannels:  2,
-			AsyncEviction: async,
-			Rand:          rand.New(rand.NewSource(seed)),
-		},
+		Blocks:           blocks,
+		BlockSize:        16,
+		Encryption:       EncryptNone,
+		Backend:          BackendDRAM,
+		DRAMChannels:     2,
+		AsyncEviction:    async,
+		Rand:             rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -91,15 +90,15 @@ func TestDRAMEquivalenceReplay(t *testing.T) {
 	for _, part := range []Partition{PartitionStripe, PartitionRange, PartitionRandom} {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/async=%v", partName(part), async), func(t *testing.T) {
-				leafLog := func() ([][]uint64, func(int, uint64)) {
+				leafLog := func() ([][]uint64, func(int, int, uint64)) {
 					logs := make([][]uint64, shards)
-					return logs, func(sh int, leaf uint64) { logs[sh] = append(logs[sh], leaf) }
+					return logs, func(sh, _ int, leaf uint64) { logs[sh] = append(logs[sh], leaf) }
 				}
 				memLeaves, memHook := leafLog()
 				memCfg := dramConfig(shards, blocks, part, async, 99)
-				memCfg.Backend = BackendMem
-				memCfg.OnShardPathAccess = memHook
-				memS, err := NewSharded(memCfg)
+				memCfg.Backend, memCfg.DRAMChannels = BackendMem, 0
+				memCfg.OnPathAccess = memHook
+				memS, err := openSharded(memCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,8 +106,8 @@ func TestDRAMEquivalenceReplay(t *testing.T) {
 
 				dramLeaves, dramHook := leafLog()
 				dramCfg := dramConfig(shards, blocks, part, async, 99)
-				dramCfg.OnShardPathAccess = dramHook
-				dramS, err := NewSharded(dramCfg)
+				dramCfg.OnPathAccess = dramHook
+				dramS, err := openSharded(dramCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,20 +217,20 @@ func TestDRAMTimedLeafUniform(t *testing.T) {
 			for i := range hists {
 				hists[i] = make([]uint64, 1<<leafLevel)
 			}
-			s, err := NewSharded(ShardedConfig{
+			s, err := openSharded(Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, LeafLevel: leafLevel, Z: 4,
-					StashCapacity: 150,
-					Backend:       BackendDRAM,
-					Rand:          rand.New(rand.NewSource(4242)),
-				},
-				OnShardPathAccess: func(sh int, leaf uint64) { hists[sh][leaf]++ },
+				// 256 blocks per shard at 0.6 utilization: leaf level 6.
+				Blocks: blocks, Z: 4, Utilization: 0.6,
+				StashCapacity: 150,
+				Backend:       BackendDRAM,
+				Rand:          rand.New(rand.NewSource(4242)),
+				OnPathAccess:  func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			requireLeafLevel(t, s, leafLevel)
 			for i := 0; i < accesses; i++ {
 				if err := s.Write(w(i), nil); err != nil {
 					t.Fatal(err)
@@ -263,7 +262,7 @@ func TestDRAMInterleaveBeatsSerialized(t *testing.T) {
 	run := func(serialize bool) uint64 {
 		cfg := dramConfig(2, 256, PartitionStripe, false, 7)
 		cfg.DRAMSerialize = serialize
-		s, err := NewSharded(cfg)
+		s, err := openSharded(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +296,7 @@ func TestDRAMConcurrentClients(t *testing.T) {
 	const opsPer = 60
 	cfg := dramConfig(shards, blocks, PartitionStripe, true, 31)
 	cfg.EvictionsPerIdle = 0 // default idle eviction: exercise every bus path
-	s, err := NewSharded(cfg)
+	s, err := openSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

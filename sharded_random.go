@@ -129,7 +129,7 @@ func (r *randomRouter) set(addr uint64, sh int) {
 // operation with leg 1 of a re-access of the same block; padded batches
 // close that — see SECURITY.md, "random partition".)
 func (s *Sharded) randomAccess(addr uint64, op shard.Op, data []byte, fn func([]byte)) ([]byte, error) {
-	if err := s.checkAddr(addr); err != nil {
+	if err := checkAddr(addr, s.blocks); err != nil {
 		return nil, err
 	}
 	if op == shard.OpUpdate && s.blockSize == 0 {
@@ -189,7 +189,7 @@ func (s *Sharded) randomAccess(addr uint64, op shard.Op, data []byte, fn func([]
 // batches.
 func (s *Sharded) randomBatch(addrs []uint64, data [][]byte, op shard.Op) ([][]byte, error) {
 	for _, a := range addrs {
-		if err := s.checkAddr(a); err != nil {
+		if err := checkAddr(a, s.blocks); err != nil {
 			return nil, err
 		}
 	}

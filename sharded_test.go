@@ -77,11 +77,11 @@ func TestShardedMatchesSingleORAM(t *testing.T) {
 	for _, part := range shardedPartitions() {
 		for _, shards := range []int{1, 3, 4, 7} {
 			t.Run(fmt.Sprintf("%s/shards=%d", part.testName(), shards), func(t *testing.T) {
-				s, err := NewSharded(ShardedConfig{
+				s, err := openSharded(Spec{
 					Shards: shards, Partition: part,
-					Config: Config{Blocks: blocks, BlockSize: blockSize,
-						Encryption: EncryptCounter, Integrity: true,
-						Rand: rand.New(rand.NewSource(2))},
+					Blocks: blocks, BlockSize: blockSize,
+					Encryption: EncryptCounter, Integrity: true,
+					Rand: rand.New(rand.NewSource(2)),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -124,9 +124,9 @@ func TestShardedPartitionCoverage(t *testing.T) {
 		for _, tc := range []struct{ blocks, shards uint64 }{
 			{10, 4}, {9, 4}, {16, 4}, {1, 1}, {5, 5}, {1000, 7},
 		} {
-			s, err := NewSharded(ShardedConfig{
+			s, err := openSharded(Spec{
 				Shards: int(tc.shards), Partition: part,
-				Config: Config{Blocks: tc.blocks},
+				Blocks: tc.blocks,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -167,10 +167,10 @@ func TestShardedConcurrentClients(t *testing.T) {
 	const clients = 8
 	const perClient = 64
 	const blockSize = 24
-	s, err := NewSharded(ShardedConfig{
+	s, err := openSharded(Spec{
 		Shards: shards,
-		Config: Config{Blocks: clients * perClient, BlockSize: blockSize,
-			Encryption: EncryptCounter},
+		Blocks: clients * perClient, BlockSize: blockSize,
+		Encryption: EncryptCounter,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,10 +235,10 @@ func TestShardedConcurrentClients(t *testing.T) {
 func TestShardedBatchOrder(t *testing.T) {
 	const blocks = 256
 	const blockSize = 16
-	s, err := NewSharded(ShardedConfig{
+	s, err := openSharded(Spec{
 		Shards: 4,
-		Config: Config{Blocks: blocks, BlockSize: blockSize,
-			Encryption: EncryptNone, Rand: rand.New(rand.NewSource(3))},
+		Blocks: blocks, BlockSize: blockSize,
+		Encryption: EncryptNone, Rand: rand.New(rand.NewSource(3)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,10 +317,12 @@ func TestShardedBatchOrder(t *testing.T) {
 // — nothing hangs, nothing panics, and stats remain readable after Close.
 func TestShardedCloseDrains(t *testing.T) {
 	const blocks = 512
-	s, err := NewSharded(ShardedConfig{
+	s, err := openSharded(Spec{
 		Shards:     4,
 		QueueDepth: 8,
-		Config:     Config{Blocks: blocks, BlockSize: 16, Encryption: EncryptNone},
+		Blocks:     blocks,
+		BlockSize:  16,
+		Encryption: EncryptNone,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -395,20 +397,19 @@ func TestShardedLeafSequencesUniform(t *testing.T) {
 			for i := range hists {
 				hists[i] = make([]uint64, 1<<leafLevel)
 			}
-			s, err := NewSharded(ShardedConfig{
+			s, err := openSharded(Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, LeafLevel: leafLevel, Z: 4,
-					StashCapacity: 150,
-					Rand:          rand.New(rand.NewSource(9001)),
-				},
+				Blocks: blocks, Z: 4, // 192 blocks per shard: leaf level 6
+				StashCapacity: 150,
+				Rand:          rand.New(rand.NewSource(9001)),
 				// Per-shard slots: workers write disjoint histograms.
-				OnShardPathAccess: func(sh int, leaf uint64) { hists[sh][leaf]++ },
+				OnPathAccess: func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			requireLeafLevel(t, s, leafLevel)
 			for i := 0; i < accesses; i++ {
 				if err := s.Write(w(i), nil); err != nil {
 					t.Fatal(err)
@@ -434,16 +435,27 @@ func TestShardedLeafSequencesUniform(t *testing.T) {
 	}
 }
 
+// requireLeafLevel pins the tree depth a chi-square histogram of 1<<want
+// leaves is sized for: every flat shard of s must derive leaf level want.
+func requireLeafLevel(t *testing.T, s *Sharded, want int) {
+	t.Helper()
+	for i, e := range s.engines {
+		if got := e.(oramEngine).LeafLevel(); got != want {
+			t.Fatalf("shard %d: leaf level %d, want %d", i, got, want)
+		}
+	}
+}
+
 // TestShardedDeterministicReplay checks the per-shard Rand derivation: the
 // same parent seed must reproduce the exact same per-shard path sequences.
 func TestShardedDeterministicReplay(t *testing.T) {
 	observe := func(seed int64) [][]uint64 {
 		var mu sync.Mutex
 		seqs := make([][]uint64, 3)
-		s, err := NewSharded(ShardedConfig{
+		s, err := openSharded(Spec{
 			Shards: 3,
-			Config: Config{Blocks: 300, Rand: rand.New(rand.NewSource(seed))},
-			OnShardPathAccess: func(sh int, leaf uint64) {
+			Blocks: 300, Rand: rand.New(rand.NewSource(seed)),
+			OnPathAccess: func(sh, _ int, leaf uint64) {
 				mu.Lock()
 				seqs[sh] = append(seqs[sh], leaf)
 				mu.Unlock()
@@ -478,6 +490,62 @@ func TestShardedDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestShardedConfigValidation pins the sharded layer's own accept/reject
+// rules (shard count, partition, master key) and the default single
+// shard's address range.
+func TestShardedConfigValidation(t *testing.T) {
+	if _, err := openSharded(Spec{Blocks: 0}); err == nil {
+		t.Error("zero blocks accepted")
+	}
+	if _, err := openSharded(Spec{Shards: -1, Blocks: 8}); err == nil {
+		t.Error("negative shard count accepted")
+	}
+	if _, err := openSharded(Spec{Shards: 9, Blocks: 8}); err == nil {
+		t.Error("more shards than blocks accepted")
+	}
+	if _, err := openSharded(Spec{Partition: Partition(9), Blocks: 8}); err == nil {
+		t.Error("unknown partition accepted")
+	}
+	// An unused Key of arbitrary length must not break plaintext configs
+	// (metadata-only forces EncryptNone; the key is never touched) ...
+	if s, err := openSharded(Spec{Shards: 2, Blocks: 8, Key: []byte("20-byte-test-token!!")}); err != nil {
+		t.Errorf("metadata-only config with odd key rejected: %v", err)
+	} else {
+		s.Close()
+	}
+	// ... and the same holds for a single flat tree.
+	if o, err := New(Config{Blocks: 8, Key: []byte("20-byte-test-token!!")}); err != nil {
+		t.Errorf("metadata-only flat tree with odd key rejected: %v", err)
+	} else {
+		o.Close()
+	}
+	// ... but an encrypted config demands a 16-byte master: a longer key
+	// must be rejected loudly, not silently downgraded to AES-128 subkeys.
+	if _, err := openSharded(Spec{Shards: 2, Blocks: 8, BlockSize: 8, Key: make([]byte, 32)}); err == nil {
+		t.Error("32-byte master key silently accepted for encrypted shards")
+	}
+	s, err := openSharded(Spec{Blocks: 8, BlockSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.NumShards() != 1 {
+		t.Errorf("default shard count = %d, want 1", s.NumShards())
+	}
+	if s.Blocks() != 8 {
+		t.Errorf("Blocks() = %d, want 8", s.Blocks())
+	}
+	if _, err := s.Read(8); err == nil {
+		t.Error("out-of-range read accepted")
+	}
+	if err := s.Write(8, make([]byte, 8)); err == nil {
+		t.Error("out-of-range write accepted")
+	}
+	if err := s.Update(8, func([]byte) {}); err == nil {
+		t.Error("out-of-range update accepted")
+	}
+}
+
 // TestShardedKeyDerivation checks shard keys are pairwise distinct and
 // differ from the master key.
 func TestShardedKeyDerivation(t *testing.T) {
@@ -507,54 +575,5 @@ func TestShardedKeyDerivation(t *testing.T) {
 		if bytes.Equal(k, hk) {
 			t.Errorf("shard key %d equals hierarchy level-%d key: missing domain separation", i, i)
 		}
-	}
-}
-
-func TestShardedConfigValidation(t *testing.T) {
-	if _, err := NewSharded(ShardedConfig{Config: Config{Blocks: 0}}); err == nil {
-		t.Error("zero blocks accepted")
-	}
-	if _, err := NewSharded(ShardedConfig{Shards: -1, Config: Config{Blocks: 8}}); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	if _, err := NewSharded(ShardedConfig{Shards: 9, Config: Config{Blocks: 8}}); err == nil {
-		t.Error("more shards than blocks accepted")
-	}
-	if _, err := NewSharded(ShardedConfig{Partition: Partition(9), Config: Config{Blocks: 8}}); err == nil {
-		t.Error("unknown partition accepted")
-	}
-	// An unused Key of arbitrary length must not break plaintext configs
-	// (metadata-only forces EncryptNone; the key is never touched) ...
-	if s, err := NewSharded(ShardedConfig{Shards: 2,
-		Config: Config{Blocks: 8, Key: []byte("20-byte-test-token!!")}}); err != nil {
-		t.Errorf("metadata-only config with odd key rejected: %v", err)
-	} else {
-		s.Close()
-	}
-	// ... but an encrypted config demands a 16-byte master: a longer key
-	// must be rejected loudly, not silently downgraded to AES-128 subkeys.
-	if _, err := NewSharded(ShardedConfig{Shards: 2,
-		Config: Config{Blocks: 8, BlockSize: 8, Key: make([]byte, 32)}}); err == nil {
-		t.Error("32-byte master key silently accepted for encrypted shards")
-	}
-	s, err := NewSharded(ShardedConfig{Config: Config{Blocks: 8, BlockSize: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.NumShards() != 1 {
-		t.Errorf("default shard count = %d, want 1", s.NumShards())
-	}
-	if s.Blocks() != 8 {
-		t.Errorf("Blocks() = %d, want 8", s.Blocks())
-	}
-	if _, err := s.Read(8); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-	if err := s.Write(8, make([]byte, 8)); err == nil {
-		t.Error("out-of-range write accepted")
-	}
-	if err := s.Update(8, func([]byte) {}); err == nil {
-		t.Error("out-of-range update accepted")
 	}
 }
