@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -621,6 +622,18 @@ func TestClientOpenValidation(t *testing.T) {
 		{name: "DRAMQueueDepth without FR-FCFS", spec: Spec{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4},
 			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4},
 			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMQueueDepth: 4}},
+		{name: "Utilization above 1", spec: rec(Spec{Blocks: 64, BlockSize: 8, Utilization: 1.5}),
+			flat: &Config{Blocks: 64, BlockSize: 8, Utilization: 1.5},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Utilization: 1.5}},
+		{name: "Utilization NaN", spec: rec(Spec{Blocks: 64, BlockSize: 8, Utilization: math.NaN()}),
+			flat: &Config{Blocks: 64, BlockSize: 8, Utilization: math.NaN()},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Utilization: math.NaN()}},
+		{name: "negative WALDepth", spec: rec(Spec{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WAL: true, WALDepth: -1}),
+			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WAL: true, WALDepth: -1},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: dir, WAL: true, WALDepth: -1}},
+		{name: "negative DRAMChannels", spec: rec(Spec{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1}),
+			flat: &Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1},
+			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1}},
 		// Chain rules, enforced once in the hierarchy builder (or below it).
 		{name: "PLBConstantShape without PLBBytes", spec: rec(Spec{Blocks: 64, BlockSize: 8, PLBConstantShape: true}),
 			hier: &HierarchyConfig{Blocks: 64, BlockSize: 8, PLBConstantShape: true}},

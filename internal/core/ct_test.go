@@ -100,6 +100,86 @@ func TestCTScanResults(t *testing.T) {
 	}
 }
 
+// TestCTPayloadScansMatchLegacy holds the word-wide masked payload scans
+// to the legacy find + copy they replace, on block sizes that exercise
+// every tail of the chunked loops (32-byte chunks, 8-byte words, single
+// bytes), with dead slots in the window and without, at every hit position
+// and on a miss. The duplicate layout pins first-match-wins: an address
+// stored twice reads from, and writes to, its first entry only.
+func TestCTPayloadScansMatchLegacy(t *testing.T) {
+	distinct := func(n int) []uint64 {
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			addrs[i] = uint64(100 + i)
+		}
+		return addrs
+	}
+	layouts := []struct {
+		name  string
+		addrs func(window int) []uint64
+	}{
+		{"partial", func(window int) []uint64 { return distinct(window - 3) }},
+		{"full", distinct},
+		{"duplicate", func(int) []uint64 { return []uint64{5, 7, 9, 7, 11, 7} }},
+	}
+	const miss = 999
+	for _, bs := range []int{1, 7, 8, 9, 31, 32, 33, 64, 100, 128} {
+		for _, window := range []int{16, 64} {
+			for _, l := range layouts {
+				t.Run(fmt.Sprintf("bs=%d/window=%d/%s", bs, window, l.name), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(bs*window + len(l.name))))
+					random := func() []byte {
+						b := make([]byte, bs)
+						rng.Read(b)
+						return b
+					}
+					var legacy, ct stash
+					legacy.blockBytes, ct.blockBytes = bs, bs
+					ct.initCT(window)
+					addrs := l.addrs(window)
+					for _, a := range addrs {
+						d := random()
+						legacy.insert(a, 0, d)
+						ct.addCopy(a, 0, d)
+					}
+					prefill := bytes.Repeat([]byte{0xEE}, bs)
+					for _, addr := range append(addrs, miss) {
+						i := legacy.find(addr)
+						want := append([]byte(nil), prefill...)
+						if i >= 0 {
+							copy(want, legacy.entries[i].Data)
+						}
+						got := append([]byte(nil), prefill...)
+						if hit := ct.ctReadInto(addr, got); hit != boolInt(i >= 0) || !bytes.Equal(got, want) {
+							t.Fatalf("ctReadInto(%d) = %d, % x; legacy index %d, % x", addr, hit, got, i, want)
+						}
+						data := random()
+						if i >= 0 {
+							copy(legacy.entries[i].Data, data)
+						}
+						if hit := ct.ctWriteData(addr, data); hit != boolInt(i >= 0) {
+							t.Fatalf("ctWriteData(%d) = %d, legacy index %d", addr, hit, i)
+						}
+						for j := range legacy.entries {
+							if !bytes.Equal(ct.entries[j].Data, legacy.entries[j].Data) {
+								t.Fatalf("after ctWriteData(%d): entry %d = % x, legacy % x",
+									addr, j, ct.entries[j].Data, legacy.entries[j].Data)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestCTCompactMatchesLegacy replays the same placement mask through
 // compact and compactCT and requires identical surviving entries in
 // identical order — the bit-identical evolution the equivalence replays

@@ -15,7 +15,7 @@ package core
 // leave stash ownership for good.
 //
 // With ct set (Params.ConstantTimeStash) the lookup scans run in fixed
-// length over a preallocated window using crypto/subtle selects — see
+// length over a preallocated window using word-wide masked selects — see
 // stash_ct.go. The dense entries layout and its evolution are identical in
 // both modes; only how the scans execute differs.
 type stash struct {
@@ -28,11 +28,13 @@ type stash struct {
 
 	// Constant-time mode state (stash_ct.go). window is the fixed scan
 	// length; all is the backing array with one extra dump slot at index
-	// window for masked discards; deadScratch absorbs masked copies aimed
-	// at dead slots.
+	// window for masked discards; masks holds one selection mask per
+	// window slot for the payload scans; deadScratch absorbs masked copies
+	// aimed at dead slots.
 	ct          bool
 	window      int
 	all         []Slot
+	masks       []uint64
 	deadScratch []byte
 
 	// scanSlots counts slots examined by constant-time scans; tests use it

@@ -1,6 +1,9 @@
 package core
 
-import "crypto/subtle"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // Constant-time stash scans (Params.ConstantTimeStash).
 //
@@ -10,9 +13,11 @@ import "crypto/subtle"
 // whether) the block sits in the stash — a timing channel on secret
 // addresses. The scans here execute a fixed number of slot visits per
 // lookup — the window size, a public constant fixed at construction — and
-// combine per-slot address-match masks with crypto/subtle selects, so hit
+// combine per-slot address-match masks with masked selects, so hit
 // position and hit-vs-miss change neither the instruction count nor the
-// memory-touch count.
+// memory-touch count. Payload scans move 64-bit words: each slot's match
+// widens to a uint64 mask, reads OR-accumulate mask&word over every slot,
+// and writes blend d ^= mask & (d ^ s) into every slot's payload.
 //
 // What stays public: the live entry count (stash occupancy drives the
 // publicly observable background-eviction schedule, Section 3.1), the scan
@@ -30,6 +35,7 @@ func (s *stash) initCT(window int) {
 	s.window = window
 	s.all = make([]Slot, window+1)
 	s.entries = s.all[:0:window]
+	s.masks = make([]uint64, window)
 	if s.blockBytes > 0 {
 		s.deadScratch = make([]byte, s.blockBytes)
 		// Preallocate the payload pool: one buffer per window slot, carved
@@ -55,6 +61,7 @@ func (s *stash) growCT() {
 	s.all = all
 	s.window = window
 	s.entries = s.all[:n:window]
+	s.masks = make([]uint64, window)
 }
 
 // ctLiveMask returns 1 if i indexes a live entry (i < n), else 0. Both
@@ -64,12 +71,11 @@ func ctLiveMask(i, n int) int {
 	return subtle.ConstantTimeLessOrEq(i+1, n)
 }
 
-// ctEq64 returns 1 if a == b, in constant time, as the AND of two 32-bit
-// halves (crypto/subtle exposes only 32-bit equality).
+// ctEq64 returns 1 if a == b, in constant time: x|-x has its top bit set
+// exactly when x = a^b is nonzero.
 func ctEq64(a, b uint64) int {
-	lo := subtle.ConstantTimeEq(int32(uint32(a)), int32(uint32(b)))
-	hi := subtle.ConstantTimeEq(int32(uint32(a>>32)), int32(uint32(b>>32)))
-	return lo & hi
+	x := a ^ b
+	return int(((x | -x) >> 63) ^ 1)
 }
 
 // ctLess64 returns 1 if a < b (unsigned, constant time): the borrow bit of
@@ -79,66 +85,139 @@ func ctLess64(a, b uint64) int {
 	return int(borrow)
 }
 
-// ctFind returns the index of addr, or -1, visiting every window slot.
-func (s *stash) ctFind(addr uint64) int {
+// ctSelect fills s.masks with the per-slot selection masks of addr — all
+// ones for the first live slot holding it (first match wins, like the
+// legacy find), zero for every other slot — and returns the found mask (all
+// ones on hit, zero on miss). Every window slot is visited.
+func (s *stash) ctSelect(addr uint64) uint64 {
 	n := len(s.entries)
 	full := s.all[:s.window]
-	s.scanSlots += uint64(s.window)
-	idx, found := -1, 0
+	masks := s.masks[:len(full)]
+	s.scanSlots += uint64(len(full))
+	var found uint64
 	for i := range full {
-		eq := ctEq64(full[i].Addr, addr) & ctLiveMask(i, n)
-		take := eq & (found ^ 1) // first match wins, like the legacy scan
-		idx = subtle.ConstantTimeSelect(take, i, idx)
+		eq := -uint64(ctEq64(full[i].Addr, addr) & ctLiveMask(i, n))
+		masks[i] = eq &^ found
 		found |= eq
 	}
-	return idx
+	return found
+}
+
+// ctFind returns the index of addr, or -1, visiting every window slot.
+func (s *stash) ctFind(addr uint64) int {
+	found := s.ctSelect(addr)
+	var idx uint64
+	for i, m := range s.masks[:s.window] {
+		idx |= m & uint64(i)
+	}
+	return subtle.ConstantTimeSelect(int(found&1), int(idx), -1)
+}
+
+// ctPayload returns the payload a masked scan touches at window slot i:
+// the entry's own for live slots, deadScratch for dead ones (n, the
+// occupancy, is public), so every slot costs the same memory touches.
+func (s *stash) ctPayload(i, n int) []byte {
+	if i < n {
+		return s.all[i].Data
+	}
+	return s.deadScratch
 }
 
 // ctReadInto copies the payload of addr into dst with a fixed-length
 // masked scan; dst is untouched on a miss (callers prefill it with the
 // fresh-fill pattern, so hit and miss leave no branch at all). Returns 1
 // on hit, 0 on miss.
+//
+// The scan runs chunk-major: for each 32-byte chunk of dst it reads that
+// chunk of every window slot, OR-accumulating mask&word into four
+// registers, then blends the accumulators over dst under the found mask.
+// 8-byte words and single bytes finish block sizes that are not multiples
+// of 32.
 func (s *stash) ctReadInto(addr uint64, dst []byte) int {
+	found := s.ctSelect(addr)
 	n := len(s.entries)
-	full := s.all[:s.window]
-	s.scanSlots += uint64(s.window)
-	found := 0
-	for i := range full {
-		mask := 0
-		src := s.deadScratch
-		if i < n { // public liveness: occupancy is not a secret
-			mask = ctEq64(full[i].Addr, addr)
-			src = full[i].Data
+	masks := s.masks[:s.window]
+	le := binary.LittleEndian
+	off := 0
+	for ; off+32 <= len(dst); off += 32 {
+		var a0, a1, a2, a3 uint64
+		for i, m := range masks {
+			p := s.ctPayload(i, n)[off : off+32]
+			a0 |= m & le.Uint64(p[0:8])
+			a1 |= m & le.Uint64(p[8:16])
+			a2 |= m & le.Uint64(p[16:24])
+			a3 |= m & le.Uint64(p[24:32])
 		}
-		if len(dst) > 0 {
-			subtle.ConstantTimeCopy(mask, dst, src)
-		}
-		found |= mask
+		d := dst[off : off+32]
+		ctBlendWord(found, d[0:8], a0)
+		ctBlendWord(found, d[8:16], a1)
+		ctBlendWord(found, d[16:24], a2)
+		ctBlendWord(found, d[24:32], a3)
 	}
-	return found
+	for ; off+8 <= len(dst); off += 8 {
+		var a uint64
+		for i, m := range masks {
+			a |= m & le.Uint64(s.ctPayload(i, n)[off:off+8])
+		}
+		ctBlendWord(found, dst[off:off+8], a)
+	}
+	for ; off < len(dst); off++ {
+		var a byte
+		for i, m := range masks {
+			a |= byte(m) & s.ctPayload(i, n)[off]
+		}
+		dst[off] ^= byte(found) & (dst[off] ^ a)
+	}
+	return int(found & 1)
 }
 
 // ctWriteData copies data into the payload of addr with a fixed-length
 // masked scan. Returns 1 on hit, 0 on miss (the caller then appends a new
 // entry; occupancy changes are public).
+//
+// Like ctReadInto it runs chunk-major: each 32-byte chunk of data is
+// loaded once and blended into that chunk of every window slot's payload
+// (deadScratch for dead slots), so every slot is read and stored back and
+// changes only where its mask is set.
 func (s *stash) ctWriteData(addr uint64, data []byte) int {
+	found := s.ctSelect(addr)
 	n := len(s.entries)
-	full := s.all[:s.window]
-	s.scanSlots += uint64(s.window)
-	found := 0
-	for i := range full {
-		mask := 0
-		dst := s.deadScratch
-		if i < n {
-			mask = ctEq64(full[i].Addr, addr)
-			dst = full[i].Data
+	masks := s.masks[:s.window]
+	le := binary.LittleEndian
+	off := 0
+	for ; off+32 <= len(data); off += 32 {
+		src := data[off : off+32]
+		w0, w1 := le.Uint64(src[0:8]), le.Uint64(src[8:16])
+		w2, w3 := le.Uint64(src[16:24]), le.Uint64(src[24:32])
+		for i, m := range masks {
+			p := s.ctPayload(i, n)[off : off+32]
+			ctBlendWord(m, p[0:8], w0)
+			ctBlendWord(m, p[8:16], w1)
+			ctBlendWord(m, p[16:24], w2)
+			ctBlendWord(m, p[24:32], w3)
 		}
-		if len(data) > 0 {
-			subtle.ConstantTimeCopy(mask, dst, data)
-		}
-		found |= mask
 	}
-	return found
+	for ; off+8 <= len(data); off += 8 {
+		w := le.Uint64(data[off : off+8])
+		for i, m := range masks {
+			ctBlendWord(m, s.ctPayload(i, n)[off:off+8], w)
+		}
+	}
+	for ; off < len(data); off++ {
+		b := data[off]
+		for i, m := range masks {
+			p := s.ctPayload(i, n)
+			p[off] ^= byte(m) & (p[off] ^ b)
+		}
+	}
+	return int(found & 1)
+}
+
+// ctBlendWord stores w over the 8-byte word d where m is all ones and
+// stores d's own value back where m is zero.
+func ctBlendWord(m uint64, d []byte, w uint64) {
+	v := binary.LittleEndian.Uint64(d)
+	binary.LittleEndian.PutUint64(d, v^(m&(v^w)))
 }
 
 // ctRemapRange sets the leaf of every entry with lo <= Addr < hi with a

@@ -154,14 +154,15 @@ type Config struct {
 	// pinned path copies. See EXPERIMENTS.md.
 	MaxDeferredWriteBacks int
 	// ConstantTimeStash replaces the stash's early-return lookup scans with
-	// fixed-length masked scans (crypto/subtle) over a preallocated window,
+	// fixed-length, word-wide masked scans over a preallocated window,
 	// so where — and whether — a block sits in the stash changes neither the
 	// instruction count nor the memory-touch count of an access. This closes
 	// the stash timing side channel of the secure-processor threat model
 	// (see SECURITY.md); the ORAM's observable behavior is otherwise
 	// bit-identical. Requires a bounded stash (the default StashCapacity
 	// qualifies). Costs a full-window scan per lookup: with the default
-	// C=200 stash this is a modest constant per access.
+	// C=200 stash this is a modest constant per access (about 1.3x the
+	// default stash under counter encryption, see EXPERIMENTS.md).
 	ConstantTimeStash bool
 	// Backend selects the bucket storage backend (default BackendMem).
 	// BackendDRAM wraps the store in a timed layer charging a shared
@@ -238,6 +239,12 @@ func (c *Config) validate() error {
 	if c.Z == 0 {
 		c.Z = 3
 	}
+	if c.Utilization == 0 {
+		c.Utilization = 0.5
+	}
+	if !(c.Utilization > 0 && c.Utilization <= 1) { // also rejects NaN
+		return fmt.Errorf("pathoram: utilization %v out of (0,1]", c.Utilization)
+	}
 	if c.StashCapacity == 0 {
 		c.StashCapacity = 200
 	}
@@ -259,8 +266,14 @@ func (c *Config) validate() error {
 		if !c.WAL && c.WALDepth != 0 {
 			return fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
 		}
+		if c.WALDepth < 0 {
+			return fmt.Errorf("pathoram: WALDepth=%d must be >= 0", c.WALDepth)
+		}
 	default:
 		return fmt.Errorf("pathoram: unknown backend %d", c.Backend)
+	}
+	if c.DRAMChannels < 0 {
+		return fmt.Errorf("pathoram: DRAMChannels=%d must be >= 1", c.DRAMChannels)
 	}
 	if c.storeName == "" {
 		c.storeName = "oram"
@@ -488,18 +501,6 @@ func New(cfg Config) (*ORAM, error) {
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Utilization == 0 {
-		cfg.Utilization = 0.5
-	}
-	if cfg.Utilization < 0 || cfg.Utilization > 1 {
-		return nil, fmt.Errorf("pathoram: utilization %v out of (0,1]", cfg.Utilization)
-	}
-	if cfg.WALDepth < 0 {
-		return nil, fmt.Errorf("pathoram: WALDepth=%d must be >= 0", cfg.WALDepth)
-	}
-	if cfg.DRAMChannels < 0 {
-		return nil, fmt.Errorf("pathoram: DRAMChannels=%d must be >= 1", cfg.DRAMChannels)
 	}
 	if cfg.SuperBlockSize == 0 {
 		cfg.SuperBlockSize = 1

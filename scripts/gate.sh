@@ -23,7 +23,10 @@ set -eu
 # 2.2.1 strawman allocates per block by design. BenchmarkAccessRecursivePLBHit
 # holds the position-map lookaside cache's hit path to the pooled-buffer
 # discipline, and BenchmarkSchedFRFCFS2Shard the open-queue serving path
-# (event rings, skip-mask pool, merged-window batch scratch).
+# (event rings, skip-mask pool, merged-window batch scratch). The
+# constant-time stash must also cost under 2x the default stash on the
+# same counter-encrypted geometry: its masked scans read every window
+# slot, and word-wide scans keep that overhead bounded.
 gate_alloc() {
   out="${1:-BENCH_pr6.json}"
   go test -run xxx \
@@ -31,7 +34,8 @@ gate_alloc() {
     -benchtime "${BENCHTIME:-2000x}" -benchmem . |
     go run ./cmd/oram-benchjson -out "$out" \
       -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkShardedThroughput|BenchmarkSchedFRFCFS2Shard' \
-      -max-allocs 1
+      -max-allocs 1 \
+      -require 'BenchmarkAccessConstantTimeStash/counter:ns/op<2*BenchmarkAccessCounterEncrypted:ns/op'
   echo "wrote $out"
 }
 
