@@ -291,11 +291,16 @@ type Spec struct {
 	Backend Backend
 	// Dir is the directory holding the tree (and WAL) files under
 	// BackendFile: one file per tree, named per shard and per hierarchy
-	// level. Required there, rejected elsewhere.
+	// level. Required there, rejected elsewhere. The tree files must not
+	// exist yet: client state (position map, stash, counters) is not
+	// persisted, so Open on a Dir that already holds them fails with an
+	// error wrapping fs.ErrExist.
 	Dir string
 	// WAL wraps every tree file in a write-ahead log under BackendFile,
-	// making the deferred write-back pipeline crash-consistent: logged
-	// before acknowledged, checkpointed on Flush, replayed on reopen.
+	// making the deferred write-back pipeline crash-consistent at the
+	// bucket level: logged before acknowledged, checkpointed on Flush.
+	// The storage layer replays a crash-left log (storage.OpenWAL), but
+	// Open does not reopen a tree (see Dir).
 	WAL bool
 	// WALDepth self-checkpoints each tree's log after that many path
 	// frames (0 = only on Flush/Close). Requires WAL.

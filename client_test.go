@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"sync"
@@ -723,5 +724,44 @@ func TestClientClosedErrors(t *testing.T) {
 	// StepBackground degrades to a direct pump on the quiescent engines.
 	if _, err := c.StepBackground(false); err != nil {
 		t.Errorf("StepBackground after Close: %v", err)
+	}
+}
+
+// TestClientReopenFileBackendRefused pins the fail-loudly rule of
+// BackendFile: the position map, stash and counters are not persisted, so
+// Open on a Dir that already holds the tree files must fail with
+// fs.ErrExist instead of serving zeros over the old buckets.
+func TestClientReopenFileBackendRefused(t *testing.T) {
+	key := bytes.Repeat([]byte{7}, 16)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"flat", Spec{Blocks: 256, BlockSize: 16, Key: key}},
+		{"recursive", Spec{Blocks: 256, BlockSize: 16, Key: key,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Backend, spec.WAL, spec.Dir = BackendFile, true, t.TempDir()
+			c, err := Open(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := uint64(0); a < spec.Blocks; a++ {
+				if err := c.Write(a, bytes.Repeat([]byte{byte(a) | 1}, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c, err := Open(spec); !errors.Is(err, fs.ErrExist) {
+				if err == nil {
+					c.Close()
+				}
+				t.Fatalf("reopen: err = %v, want fs.ErrExist", err)
+			}
+		})
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	pathoram "repro"
+	"repro/internal/exp"
 	"repro/internal/explore"
 	"repro/internal/membus"
 )
@@ -115,8 +116,7 @@ func main() {
 	fmt.Printf("load: %d clients, %d ops/config, batch=%d, writefrac=%.2f, think=%v, GOMAXPROCS=%d\n\n",
 		*clients, *ops, *batch, *writeFrac, *think, runtime.GOMAXPROCS(0))
 
-	w := newTable(os.Stdout)
-	w.row("shards", "levels", "posmap-B", "plb-hit", "chain-len", "wall", "ops/s", "speedup", "p50", "p95", "p99", "dummy/real", "pad/real", "stash-peak", "imbalance", "row-hit", "B/cyc", "rd-cyc", "Mcycles", "model-ops/s")
+	t := &exp.Table{Header: []string{"shards", "levels", "posmap-B", "plb-hit", "chain-len", "wall", "ops/s", "speedup", "p50", "p95", "p99", "dummy/real", "pad/real", "stash-peak", "imbalance", "row-hit", "B/cyc", "rd-cyc", "Mcycles", "model-ops/s"}}
 	var baseline float64
 	for _, n := range shardCounts {
 		// One Spec covers the whole sweep: sharding, position-map recursion
@@ -141,7 +141,7 @@ func main() {
 		if baseline == 0 {
 			baseline = res.opsPerSec
 		}
-		w.row(
+		t.AddRow(
 			strconv.Itoa(n),
 			strconv.Itoa(res.levels),
 			strconv.FormatUint(res.posmapBytes, 10),
@@ -159,7 +159,7 @@ func main() {
 			res.rowHit, res.bytesPerCyc, res.readCyc, res.mcycles, res.modelOps,
 		)
 	}
-	w.flush()
+	fmt.Print(t)
 	fmt.Println("\nlevels    = ORAMs per access chain (1 = flat on-chip posmap); posmap-B = summed on-chip posmap bytes")
 	if sf.Recursive() {
 		fmt.Println("chain-len = mean path accesses per op across the recursion chain (PLB hits shrink it)")
@@ -469,34 +469,4 @@ func parseInts(csv string) ([]int, error) {
 		return nil, fmt.Errorf("empty sweep")
 	}
 	return out, nil
-}
-
-// table is a minimal right-aligned column printer.
-type table struct {
-	out  *os.File
-	rows [][]string
-}
-
-func newTable(out *os.File) *table { return &table{out: out} }
-
-func (t *table) row(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) flush() {
-	if len(t.rows) == 0 {
-		return
-	}
-	widths := make([]int, len(t.rows[0]))
-	for _, r := range t.rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			fmt.Fprintf(t.out, "%*s  ", widths[i], c)
-		}
-		fmt.Fprintln(t.out)
-	}
 }

@@ -101,8 +101,9 @@
 //     derived key, JSON and streaming NDJSON batch endpoints, graceful
 //     drain.
 //   - internal/exp — the experiment runners regenerating every figure and
-//     table of the evaluation; cmd/* are their command-line drivers, and
-//     cmd/oram-serve drives the sharded serving layer.
+//     table of the evaluation; cmd/oram-experiments runs them as one
+//     report, cmd/oram-explore sweeps Spec grids, and cmd/oram-serve
+//     drives the sharded serving layer.
 //
 // The serving layer's threat model — what an adversary observing per-shard
 // traffic and request routing learns under each partition and batch mode —

@@ -1,10 +1,11 @@
 // Package exp contains the experiment runners that regenerate every table
 // and figure of the paper's evaluation (Sections 4 and 5). Each runner
-// returns a Table whose rows mirror what the paper plots; cmd/ binaries and
-// the root-level benchmarks drive them. Default problem sizes are scaled
-// down from the paper's 4-8 GB ORAMs so the suite runs in seconds; the
-// cmd tools expose flags for paper-scale runs (see EXPERIMENTS.md for the
-// scales used and the paper-vs-measured comparison).
+// returns a Table whose rows mirror what the paper plots; cmd/oram-experiments
+// and the root-level benchmarks drive them. Default problem sizes are scaled
+// down from the paper's 4-8 GB ORAMs so the suite runs in seconds; for
+// paper-scale runs, start from a Default* config and raise its sizes in Go,
+// as examples/designspace does (see EXPERIMENTS.md for the scales used and
+// the paper-vs-measured comparison).
 package exp
 
 import (
@@ -66,13 +67,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", t.Note)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -167,7 +167,10 @@ func (s *Service) Get(name string) (*Tenant, error) {
 
 // Drop closes the named tenant (Flush → WAL checkpoint → file close) and
 // removes it from the registry. Under BackendFile the tenant's directory
-// is left in place — dropping revokes service, it does not shred data.
+// is left in place — dropping revokes service, it does not shred data —
+// so re-creating the name fails with fs.ErrExist until that directory is
+// removed (client state is not persisted, so the old trees cannot be
+// read back).
 func (s *Service) Drop(name string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[name]

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -123,6 +125,32 @@ func TestServerTenantLifecycle(t *testing.T) {
 	}
 	if got := doJSON(t, "POST", ts.URL+"/v1/t/carol/read", wireOp{Addr: 1}, nil); got != http.StatusNotFound {
 		t.Fatalf("read on unknown tenant: status %d, want 404", got)
+	}
+}
+
+// TestServerRePutDroppedFileTenantRefused pins the fail-loudly rule on
+// the service edge: a dropped file-backed tenant leaves its trees on disk,
+// and the client state to read them is gone, so re-creating the name must
+// fail (fs.ErrExist) instead of serving zeros over the old buckets.
+func TestServerRePutDroppedFileTenantRefused(t *testing.T) {
+	svc, ts := newServer(t, fileSpec(t))
+	if got := doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil); got != http.StatusCreated {
+		t.Fatalf("create alice: status %d, want 201", got)
+	}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", wireOp{Addr: 3, Data: bytes.Repeat([]byte("d"), 16)}, nil); got != http.StatusOK {
+		t.Fatalf("write: status %d", got)
+	}
+	if got := doJSON(t, "DELETE", ts.URL+"/v1/tenants/alice", nil, nil); got != http.StatusOK {
+		t.Fatalf("drop alice: status %d", got)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if got := doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, &body); got != http.StatusBadRequest || !strings.Contains(body.Error, "exists") {
+		t.Fatalf("re-PUT dropped tenant: status %d, error %q; want 400 naming the existing tree", got, body.Error)
+	}
+	if _, err := svc.Create("alice"); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("re-Create dropped tenant: err = %v, want fs.ErrExist", err)
 	}
 }
 

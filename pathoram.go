@@ -3,6 +3,7 @@ package pathoram
 import (
 	crand "crypto/rand"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -400,11 +401,17 @@ func (c *Config) ensureBus() error {
 // openPersist builds the BackendFile storage stack for one tree: the
 // mmap'd flat tree file at Dir/<name>.tree, optionally wrapped in the
 // write-ahead log at Dir/<name>.wal (replaying any crash-left prefix).
+// The tree file must not exist yet: the position map, stash and counters
+// are not persisted, so a reopened tree would read back as zeros — that is
+// an error wrapping fs.ErrExist, never a silent reinitialisation.
 func (c *Config) openPersist(numBuckets uint64, stride int) (storage.Storage, error) {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pathoram: creating Dir: %w", err)
 	}
 	base := filepath.Join(c.Dir, c.storeName)
+	if _, err := os.Stat(base + ".tree"); err == nil {
+		return nil, fmt.Errorf("pathoram: cannot reopen %s.tree, client state is not persisted: %w", base, fs.ErrExist)
+	}
 	var st storage.Storage
 	st, err := storage.OpenFile(base+".tree", numBuckets, stride)
 	if err != nil {
